@@ -348,7 +348,10 @@ main(int argc, char **argv)
     rcfg.maxGemmsPerEval = smoke ? 1 : 2;
     rcfg.seed = args.seed;
     rcfg.explain = true;
-    tuneRobust(tuner, Algorithm::kMeshSlice, model, train, chips, rcfg);
+    tuneRobust(tuner, Algorithm::kMeshSlice,
+               tuner.rankShapes(Algorithm::kMeshSlice, model, train, chips,
+                                rcfg.topK),
+               chips, rcfg);
     SearchTrace::global().record(explainRecordJson(
         "pipeline", Algorithm::kMeshSlice, chips, 0,
         pipe_cand.axes.tpRows, pipe_cand.axes.tpCols, pipe_cand.simTotal,

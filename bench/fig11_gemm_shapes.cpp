@@ -85,7 +85,7 @@ main()
             double u_ms = 0, u_coll = 0, u_wang = 0;
             for (Algorithm algo : algos) {
                 const Dataflow adf =
-                    algo == Algorithm::kCannon ? Dataflow::kOS : df;
+                    runsOutputStationaryOnly(algo) ? Dataflow::kOS : df;
                 Gemm2DSpec spec =
                     bestSpecFor(cost, algo, entry.gemm, adf, chips);
                 GemmRunResult res = simulateOneGemm(cfg, algo, spec);

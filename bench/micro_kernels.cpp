@@ -302,14 +302,20 @@ main(int argc, char **argv)
     ThreadPool::setGlobalThreads(1);
     RobustTuneResult rob_serial;
     const double cand_serial_ms = wallMs([&] {
-        rob_serial = tuneRobust(tuner, Algorithm::kMeshSlice, model,
-                                rob_train, rob_chips, rcfg);
+        rob_serial = tuneRobust(
+            tuner, Algorithm::kMeshSlice,
+            tuner.rankShapes(Algorithm::kMeshSlice, model, rob_train,
+                             rob_chips, rcfg.topK),
+            rob_chips, rcfg);
     });
     ThreadPool::setGlobalThreads(pool_threads_cand);
     RobustTuneResult rob_pool;
     const double cand_pool_ms = wallMs([&] {
-        rob_pool = tuneRobust(tuner, Algorithm::kMeshSlice, model,
-                              rob_train, rob_chips, rcfg);
+        rob_pool = tuneRobust(
+            tuner, Algorithm::kMeshSlice,
+            tuner.rankShapes(Algorithm::kMeshSlice, model, rob_train,
+                             rob_chips, rcfg.topK),
+            rob_chips, rcfg);
     });
     ThreadPool::setGlobalThreads(host_threads);
 

@@ -239,8 +239,10 @@ main(int argc, char **argv)
         rcfg.topK = 2;
         rcfg.maxGemmsPerEval = args.smoke ? 2 : 3;
         rcfg.scenarios = tuner_scenarios;
-        const RobustTuneResult result =
-            tuneRobust(tuner, algo, model, train, chips, rcfg);
+        const RobustTuneResult result = tuneRobust(
+            tuner, algo,
+            tuner.rankShapes(algo, model, train, chips, rcfg.topK), chips,
+            rcfg);
         AlgoRank rank;
         rank.algo = algo;
         rank.nominalEst = result.nominal().nominalEst;

@@ -306,7 +306,10 @@ main(int argc, char **argv)
     rcfg.checkpointBytesPerChip = ckpt_per_chip;
     rcfg.topK = 4;
     const RecoveryTuneResult tuned = tuneWithRecovery(
-        tuner, Algorithm::kMeshSlice, model, train, chips, rcfg);
+        tuner, Algorithm::kMeshSlice,
+        tuner.rankShapes(Algorithm::kMeshSlice, model, train, chips,
+                         rcfg.topK),
+        chips, rcfg);
     std::cout << "recovery-aware tuner: nominal "
               << tuned.nominal().plan.rows << "x"
               << tuned.nominal().plan.cols << " -> "

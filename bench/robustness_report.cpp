@@ -217,8 +217,11 @@ main(int argc, char **argv)
         TunerCase tc;
         tc.label = i == 0 ? "vertical_links_15pct"
                           : "horizontal_links_15pct";
-        tc.result = tuneRobust(tuner, Algorithm::kMeshSlice, model, train,
-                               chips, rcfg);
+        tc.result = tuneRobust(
+            tuner, Algorithm::kMeshSlice,
+            tuner.rankShapes(Algorithm::kMeshSlice, model, train, chips,
+                             rcfg.topK),
+            chips, rcfg);
         any_pick_differs = any_pick_differs || tc.result.pickDiffers();
         std::cout << "robust tuner [" << tc.label << "]: nominal "
                   << tc.result.nominal().plan.rows << "x"

@@ -80,6 +80,12 @@ allAlgorithms()
             Algorithm::kOneDTP, Algorithm::kFsdp};
 }
 
+bool
+runsOutputStationaryOnly(Algorithm algo)
+{
+    return algo == Algorithm::kCannon || algo == Algorithm::kOneSided;
+}
+
 std::string
 Gemm2DSpec::str() const
 {

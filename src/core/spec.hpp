@@ -72,6 +72,14 @@ std::vector<Algorithm> all2DAlgorithms();
 /** All eight algorithms including the 1D baselines. */
 std::vector<Algorithm> allAlgorithms();
 
+/**
+ * True when @p algo runs only the OS dataflow: Cannon implements no
+ * other (Sec 2.3.2), and OneSided pulls into a stationary C tile. Every
+ * pass of such an algorithm runs output-stationary with its
+ * computational shape.
+ */
+bool runsOutputStationaryOnly(Algorithm algo);
+
 /** A 2D distributed GeMM problem instance. */
 struct Gemm2DSpec
 {

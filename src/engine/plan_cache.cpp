@@ -5,10 +5,21 @@
 #include <sstream>
 #include <vector>
 
+#include "engine/plan_json.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
 
 namespace meshslice {
+
+CachedPlanPtr
+makeCachedPlan(EnginePlan plan, std::vector<AutotuneResult> shortlist)
+{
+    auto entry = std::make_shared<CachedPlan>();
+    entry->planJson = enginePlanToJson(plan);
+    entry->plan = std::move(plan);
+    entry->shortlist = std::move(shortlist);
+    return entry;
+}
 
 PlanCache::PlanCache(size_t capacity, StatsRegistry *stats)
     : capacity_(capacity), stats_(stats)
@@ -24,52 +35,42 @@ PlanCache::count(const char *name) const
         stats_->add(std::string("engine/cache/") + name, 1.0);
 }
 
-bool
-PlanCache::lookup(const std::string &key, std::string *plan_json,
-                  std::string *shortlist_json)
+CachedPlanPtr
+PlanCache::lookup(const std::string &key)
 {
     auto it = index_.find(key);
     if (it == index_.end()) {
         count("miss");
-        return false;
+        return nullptr;
     }
     lru_.splice(lru_.begin(), lru_, it->second);
-    if (plan_json != nullptr)
-        *plan_json = lru_.front().planJson;
-    if (shortlist_json != nullptr)
-        *shortlist_json = lru_.front().shortlistJson;
     count("hit");
-    return true;
+    return lru_.front().value;
 }
 
-bool
-PlanCache::shortlistForBase(const std::string &base,
-                            std::string *shortlist_json) const
+CachedPlanPtr
+PlanCache::findBase(const std::string &base) const
 {
     for (const Entry &e : lru_) {
         if (e.base != base)
             continue;
-        if (shortlist_json != nullptr)
-            *shortlist_json = e.shortlistJson;
         count("base_hit");
-        return true;
+        return e.value;
     }
-    return false;
+    return nullptr;
 }
 
 void
 PlanCache::insert(const std::string &key, const std::string &base,
-                  std::string plan_json, std::string shortlist_json)
+                  CachedPlanPtr value)
 {
     auto it = index_.find(key);
     if (it != index_.end()) {
         lru_.splice(lru_.begin(), lru_, it->second);
         lru_.front().base = base;
-        lru_.front().planJson = std::move(plan_json);
-        lru_.front().shortlistJson = std::move(shortlist_json);
+        lru_.front().value = std::move(value);
     } else {
-        lru_.push_front(Entry{key, base, std::move(plan_json),
-                              std::move(shortlist_json)});
+        lru_.push_front(Entry{key, base, std::move(value)});
         index_[key] = lru_.begin();
         count("insert");
         while (index_.size() > capacity_) {
@@ -101,9 +102,9 @@ PlanCache::serialize() const
         out += ", \"base\": ";
         out += jsonString(sorted[i]->base);
         out += ", \"plan\": ";
-        out += jsonString(sorted[i]->planJson);
+        out += jsonString(sorted[i]->value->planJson);
         out += ", \"shortlist\": ";
-        out += jsonString(sorted[i]->shortlistJson);
+        out += jsonString(shortlistToJson(sorted[i]->value->shortlist));
         out += "}";
     }
     out += sorted.empty() ? "]\n}\n" : "\n  ]\n}\n";
@@ -139,7 +140,17 @@ PlanCache::load(const std::string &text, const std::string &context)
             shortlist->kind != JsonValue::kString)
             fatal("PlanCache: %s: entry %zu needs string "
                   "key/base/plan/shortlist", context.c_str(), i);
-        insert(key->str, base->str, plan->str, shortlist->str);
+        const std::string where =
+            strprintf("%s entry %zu", context.c_str(), i);
+        EnginePlan parsed_plan =
+            enginePlanFromJson(plan->str, where + " plan");
+        std::vector<AutotuneResult> parsed_shortlist =
+            shortlistFromJson(shortlist->str, where + " shortlist");
+        if (parsed_shortlist.empty())
+            fatal("PlanCache: %s: empty shortlist", where.c_str());
+        insert(key->str, base->str,
+               makeCachedPlan(std::move(parsed_plan),
+                              std::move(parsed_shortlist)));
     }
 }
 

@@ -1,19 +1,21 @@
 /**
  * @file
- * Content-addressed LRU cache of serialized plans (DESIGN.md §4k).
+ * Content-addressed LRU cache of typed plans (DESIGN.md §4k).
  *
  * Keys are the exact `PlanKey::full()` fingerprint texts (not hashes —
  * two queries share an entry iff every fingerprinted field is
- * identical). Each entry stores the canonical serialized plan plus the
- * phase-1/2 shortlist intermediate; the latter is what a query with a
- * matching *base* key (model|cluster|tune equal, fault different)
- * reuses on the incremental re-tune path.
+ * identical). Each entry is one immutable `CachedPlan` shared by
+ * pointer: the plan, its canonical JSON (the bytes every serve of the
+ * entry returns) and the phase-1/2 shortlist. The shortlist is what a
+ * query with a matching *base* key (model|cluster|tune equal, fault
+ * different) reuses on the incremental re-tune path.
  *
- * Persistence is deterministic JSON: entries sorted by key, so
- * serialize → load → serialize is byte-identical and a restarted
- * engine warm-starts from disk. Counters (hit/miss/eviction/insert/
- * base_hit, plus a size gauge) publish through an optional
- * `StatsRegistry` under `engine/cache/...`.
+ * JSON is written only by `serialize()` and parsed only by `load()`.
+ * Persistence is deterministic: entries sorted by key, so serialize →
+ * load → serialize is byte-identical and a restarted engine
+ * warm-starts from disk. Counters (hit/miss/eviction/insert/base_hit,
+ * plus a size gauge) publish through an optional `StatsRegistry` under
+ * `engine/cache/...`.
  *
  * NOT internally synchronized: the `PlanEngine` serializes all access
  * under its own mutex (the cache is also usable directly from
@@ -24,14 +26,38 @@
 
 #include <cstddef>
 #include <list>
+#include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
+#include "engine/plan_types.hpp"
 #include "sim/stats.hpp"
 
 namespace meshslice {
 
-/** LRU map from full plan keys to serialized plans + intermediates. */
+/** One cached plan; immutable once built, so readers share it. */
+struct CachedPlan
+{
+    EnginePlan plan;
+    /** `enginePlanToJson(plan)`, made once when the entry is built. */
+    std::string planJson;
+    /**
+     * The phase-1/2 output the plan was tuned from: the top-K mesh
+     * shapes by nominal estimate, each a complete plan. Sized by
+     * `shortlistSizeFor` and prefix stable, so every consumer
+     * truncates to its own K.
+     */
+    std::vector<AutotuneResult> shortlist;
+};
+
+using CachedPlanPtr = std::shared_ptr<const CachedPlan>;
+
+/** Build an entry, serializing @p plan once. */
+CachedPlanPtr makeCachedPlan(EnginePlan plan,
+                             std::vector<AutotuneResult> shortlist);
+
+/** LRU map from full plan keys to typed plans + shortlists. */
 class PlanCache
 {
   public:
@@ -39,21 +65,18 @@ class PlanCache
     explicit PlanCache(size_t capacity, StatsRegistry *stats = nullptr);
 
     /**
-     * Look @p key up; on a hit copies the stored plan JSON (and the
-     * shortlist JSON when @p shortlist_json is non-null) and makes the
-     * entry most-recently-used. Counts `engine/cache/hit` or `.../miss`.
+     * Look @p key up; on a hit makes the entry most-recently-used and
+     * returns it, else null. Counts `engine/cache/hit` or `.../miss`.
      */
-    bool lookup(const std::string &key, std::string *plan_json,
-                std::string *shortlist_json = nullptr);
+    CachedPlanPtr lookup(const std::string &key);
 
     /**
-     * Find the most-recently-used entry whose base key equals @p base
-     * (any fault profile) and copy its shortlist JSON — the
-     * incremental-re-tune warm start. Does not touch recency. Counts
-     * `engine/cache/base_hit` on success.
+     * The most-recently-used entry whose base key equals @p base (any
+     * fault profile), or null — the incremental-re-tune warm start.
+     * Does not touch recency. Counts `engine/cache/base_hit` on
+     * success.
      */
-    bool shortlistForBase(const std::string &base,
-                          std::string *shortlist_json) const;
+    CachedPlanPtr findBase(const std::string &base) const;
 
     /**
      * Insert (or overwrite) @p key as most-recently-used, evicting the
@@ -61,7 +84,7 @@ class PlanCache
      * `engine/cache/insert` and `engine/cache/eviction`.
      */
     void insert(const std::string &key, const std::string &base,
-                std::string plan_json, std::string shortlist_json);
+                CachedPlanPtr value);
 
     size_t size() const { return index_.size(); }
     size_t capacity() const { return capacity_; }
@@ -77,8 +100,9 @@ class PlanCache
      * Replace the contents with @p text (a `serialize()` document).
      * Entries insert in sorted-key order under the cache's own
      * capacity, so loading a larger dump keeps the lexicographically
-     * last `capacity()` entries. Malformed input is fatal with a byte
-     * offset into @p context.
+     * last `capacity()` entries. Every plan and shortlist is parsed
+     * here; malformed input (including an empty shortlist) is fatal
+     * with a byte offset or key path into @p context.
      */
     void load(const std::string &text, const std::string &context);
 
@@ -94,8 +118,7 @@ class PlanCache
     {
         std::string key;
         std::string base;
-        std::string planJson;
-        std::string shortlistJson;
+        CachedPlanPtr value;
     };
 
     void count(const char *name) const;

@@ -29,158 +29,101 @@ planSourceName(PlanSource source)
 
 namespace {
 
+// The phase names: `engine/phase/<name>/runs` counters and `pickedBy`.
+constexpr const char *kShortlistPhase = "phase1-shortlist";
+constexpr const char *kDataflowSlicePhase = "phase2-dataflow-slice";
+constexpr const char *kRobustPhase = "robust-rerank";
+constexpr const char *kRecoveryPhase = "recovery-pricing";
+constexpr const char *kPipelinePhase = "pipeline-3d";
+
 /** Set the plan's 2D TP decision (shape + per-GeMM plans), keeping the
  *  3D cluster axes in sync for the phases that run pre-pipeline. */
 void
-adoptTpPick(PlanState &state, const AutotuneResult &pick,
+adoptTpPick(EnginePlan &plan, const AutotuneResult &pick,
             const char *phase_name)
 {
-    state.plan.tp = pick;
-    state.plan.cluster.tpRows = pick.rows;
-    state.plan.cluster.tpCols = pick.cols;
-    state.plan.pickedBy = phase_name;
+    plan.tp = pick;
+    plan.cluster.tpRows = pick.rows;
+    plan.cluster.tpCols = pick.cols;
+    plan.pickedBy = phase_name;
 }
 
-/** Phase 1+2 of the paper's autotuner: the ranked top-K mesh-shape
- *  shortlist, each entry a complete plan (stationary selection, tuned
- *  slice counts). Fault-independent, so cached and reused across
- *  fault-profile deltas. */
-class ShortlistPhase : public PlanPhase
+/**
+ * Run the tuning phases of @p q in order, counting each phase that runs
+ * in @p stats. A non-null @p cached_shortlist (the incremental path)
+ * stands in for phase1-shortlist, whose output depends only on the
+ * query's base key.
+ */
+CachedPlanPtr
+runPhases(const PlanQuery &q,
+          const std::vector<AutotuneResult> *cached_shortlist,
+          StatsRegistry &stats)
 {
-  public:
-    const char *name() const override { return "phase1-shortlist"; }
-    bool reusableAcrossFaultProfiles() const override { return true; }
-    bool enabled(const PlanQuery &) const override { return true; }
+    const auto ran = [&stats](const char *phase) {
+        stats.add(std::string("engine/phase/") + phase + "/runs", 1.0);
+    };
+    const LlmAutotuner tuner(CostModel::calibrated(q.chip));
 
-    void
-    run(const LlmAutotuner &tuner, PlanState &state) const override
-    {
-        const PlanQuery &q = state.query;
-        state.shortlist =
-            tuner.rankShapes(q.algo, q.model, q.train, q.chips,
-                             shortlistSizeFor(q), q.optimizeDataflow);
-    }
-};
-
-/** Fix the nominal decision: the shortlist head becomes the plan's 2D
- *  TP pick (per-GeMM dataflow + slice counts). Downstream phases may
- *  override the pick; this phase guarantees every plan has one. */
-class DataflowSlicePhase : public PlanPhase
-{
-  public:
-    const char *name() const override { return "phase2-dataflow-slice"; }
-    bool reusableAcrossFaultProfiles() const override { return false; }
-    bool enabled(const PlanQuery &) const override { return true; }
-
-    void
-    run(const LlmAutotuner &, PlanState &state) const override
-    {
-        if (state.shortlist.empty())
-            panic("PlanEngine: phase1-shortlist produced no candidates");
-        state.plan.cluster.dp = 1;
-        state.plan.cluster.pp = 1;
-        state.plan.cluster.oneD = false;
-        adoptTpPick(state, state.shortlist.front(), name());
-    }
-};
-
-/** Robust re-rank of the shortlist under the query's fault profile. */
-class RobustRerankPhase : public PlanPhase
-{
-  public:
-    const char *name() const override { return "robust-rerank"; }
-    bool reusableAcrossFaultProfiles() const override { return false; }
-
-    bool
-    enabled(const PlanQuery &q) const override
-    {
-        return q.runRobust;
+    // Phase 1+2 of the paper's autotuner: the ranked top-K mesh-shape
+    // shortlist, each entry a complete plan (stationary selection,
+    // tuned slice counts).
+    std::vector<AutotuneResult> shortlist;
+    if (cached_shortlist != nullptr) {
+        shortlist = *cached_shortlist;
+    } else {
+        shortlist = tuner.rankShapes(q.algo, q.model, q.train, q.chips,
+                                     shortlistSizeFor(q),
+                                     q.optimizeDataflow);
+        ran(kShortlistPhase);
     }
 
-    void
-    run(const LlmAutotuner &tuner, PlanState &state) const override
-    {
-        const PlanQuery &q = state.query;
-        state.robust = tuneRobustShortlist(tuner, q.algo, state.shortlist,
-                                           q.chips, q.robust);
-        state.plan.hasRobust = true;
-        state.plan.robustObjective = state.robust.picked().objective;
-        state.plan.robustPickIndex = state.robust.pickedIndex;
-        adoptTpPick(state, state.robust.picked().plan, name());
-    }
-};
+    // The nominal decision: the shortlist head, on a 2D mesh with
+    // dp = pp = 1 (the `ClusterPlan` defaults). The phases below may
+    // override it; this guarantees every plan has one.
+    EnginePlan plan;
+    adoptTpPick(plan, shortlist.front(), kDataflowSlicePhase);
+    ran(kDataflowSlicePhase);
 
-/** Recovery-economics pricing over the same shortlist. */
-class RecoveryPricingPhase : public PlanPhase
-{
-  public:
-    const char *name() const override { return "recovery-pricing"; }
-    bool reusableAcrossFaultProfiles() const override { return false; }
-
-    bool
-    enabled(const PlanQuery &q) const override
-    {
-        return q.runRecovery;
+    if (q.runRobust) {
+        const RobustTuneResult robust =
+            tuneRobust(tuner, q.algo, shortlist, q.chips, q.robust);
+        plan.hasRobust = true;
+        plan.robustObjective = robust.picked().objective;
+        plan.robustPickIndex = robust.pickedIndex;
+        adoptTpPick(plan, robust.picked().plan, kRobustPhase);
+        ran(kRobustPhase);
     }
 
-    void
-    run(const LlmAutotuner &tuner, PlanState &state) const override
-    {
-        const PlanQuery &q = state.query;
-        state.recovery = tuneWithRecoveryShortlist(
-            tuner, q.algo, state.shortlist, q.chips, q.recovery);
-        const RecoveryCandidate &picked = state.recovery.picked();
-        state.plan.hasRecovery = true;
-        state.plan.checkpointInterval = picked.checkpointInterval;
-        state.plan.goodput = picked.goodput;
-        state.plan.effectiveStepTime = picked.effectiveStepTime;
-        adoptTpPick(state, picked.plan, name());
-    }
-};
-
-/** Phase-3 3D composition (pp x dp x tp). Runs its own shape search at
- *  the micro-batch size, so it replaces the 2D pick wholesale. */
-class Pipeline3dPhase : public PlanPhase
-{
-  public:
-    const char *name() const override { return "pipeline-3d"; }
-    bool reusableAcrossFaultProfiles() const override { return false; }
-
-    bool
-    enabled(const PlanQuery &q) const override
-    {
-        return q.runPipeline;
+    if (q.runRecovery) {
+        const RecoveryTuneResult recovery =
+            tuneWithRecovery(tuner, q.algo, shortlist, q.chips, q.recovery);
+        const RecoveryCandidate &picked = recovery.picked();
+        plan.hasRecovery = true;
+        plan.checkpointInterval = picked.checkpointInterval;
+        plan.goodput = picked.goodput;
+        plan.effectiveStepTime = picked.effectiveStepTime;
+        adoptTpPick(plan, picked.plan, kRecoveryPhase);
+        ran(kRecoveryPhase);
     }
 
-    void
-    run(const LlmAutotuner &tuner, PlanState &state) const override
-    {
-        const PlanQuery &q = state.query;
-        state.pipeline3d = tunePipeline(tuner, q.model, q.train, q.chips,
-                                        q.pipeline);
-        const PipelineCandidate &picked = state.pipeline3d.picked();
-        state.plan.hasPipeline = true;
-        state.plan.axes = picked.axes;
-        state.plan.pipelineEstTotal = picked.estTotal;
-        state.plan.pipelineSimTotal = picked.simTotal;
-        state.plan.stageMemoryBytes = picked.stageMemoryBytes;
-        state.plan.peakStash = picked.peakStash;
-        state.plan.cluster.dp = picked.axes.dp;
-        state.plan.cluster.pp = picked.axes.pp;
-        adoptTpPick(state, picked.tpPlan, name());
+    // Phase-3 3D composition (pp x dp x tp) runs its own shape search
+    // at the micro-batch size, so it replaces the 2D pick wholesale.
+    if (q.runPipeline) {
+        const PipelineTuneResult pipeline =
+            tunePipeline(tuner, q.model, q.train, q.chips, q.pipeline);
+        const PipelineCandidate &picked = pipeline.picked();
+        plan.hasPipeline = true;
+        plan.axes = picked.axes;
+        plan.pipelineEstTotal = picked.estTotal;
+        plan.pipelineSimTotal = picked.simTotal;
+        plan.stageMemoryBytes = picked.stageMemoryBytes;
+        plan.peakStash = picked.peakStash;
+        plan.cluster.dp = picked.axes.dp;
+        plan.cluster.pp = picked.axes.pp;
+        adoptTpPick(plan, picked.tpPlan, kPipelinePhase);
+        ran(kPipelinePhase);
     }
-};
-
-std::vector<std::unique_ptr<PlanPhase>>
-buildPhases()
-{
-    std::vector<std::unique_ptr<PlanPhase>> phases;
-    phases.push_back(std::make_unique<ShortlistPhase>());
-    phases.push_back(std::make_unique<DataflowSlicePhase>());
-    phases.push_back(std::make_unique<RobustRerankPhase>());
-    phases.push_back(std::make_unique<RecoveryPricingPhase>());
-    phases.push_back(std::make_unique<Pipeline3dPhase>());
-    return phases;
+    return makeCachedPlan(std::move(plan), std::move(shortlist));
 }
 
 } // namespace
@@ -188,7 +131,7 @@ buildPhases()
 PlanEngine::PlanEngine() : PlanEngine(Options{}) {}
 
 PlanEngine::PlanEngine(Options options)
-    : options_(std::move(options)), phases_(buildPhases()),
+    : options_(std::move(options)),
       cache_(options_.cacheCapacity, &stats_)
 {
     stats_.enable(true);
@@ -199,36 +142,8 @@ PlanEngine::PlanEngine(Options options)
 std::vector<std::string>
 PlanEngine::phaseNames()
 {
-    std::vector<std::string> names;
-    for (const auto &phase : buildPhases())
-        names.push_back(phase->name());
-    return names;
-}
-
-PlanState
-PlanEngine::runPhases(const PlanQuery &query, const PlanKey &key,
-                      const std::string &cached_shortlist_json)
-{
-    PlanState state;
-    state.query = query;
-    state.key = key;
-    if (!cached_shortlist_json.empty()) {
-        state.shortlist = shortlistFromJson(
-            cached_shortlist_json, "PlanCache shortlist " + key.digest());
-        state.shortlistFromCache = true;
-    }
-    const LlmAutotuner tuner(CostModel::calibrated(query.chip));
-    for (const auto &phase : phases_) {
-        if (!phase->enabled(query))
-            continue;
-        if (state.shortlistFromCache &&
-            phase->reusableAcrossFaultProfiles())
-            continue;
-        phase->run(tuner, state);
-        stats_.add(std::string("engine/phase/") + phase->name() + "/runs",
-                   1.0);
-    }
-    return state;
+    return {kShortlistPhase, kDataflowSlicePhase, kRobustPhase,
+            kRecoveryPhase, kPipelinePhase};
 }
 
 PlanResult
@@ -236,22 +151,19 @@ PlanEngine::plan(const PlanQuery &query)
 {
     if (query.chips <= 0)
         fatal("PlanEngine: chips must be positive (got %d)", query.chips);
-    const PlanKey key = planKeyOf(query);
-    const std::string full = key.full();
+    PlanResult result;
+    result.key = planKeyOf(query);
+    const std::string full = result.key.full();
 
     bool waited = false;
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-        std::string cached;
-        if (cache_.lookup(full, &cached)) {
+        if (const CachedPlanPtr hit = cache_.lookup(full)) {
             lock.unlock();
             stats_.add(waited ? "engine/serve/coalesced"
                               : "engine/serve/cache_hit", 1.0);
-            PlanResult result;
-            result.key = key;
-            result.plan = enginePlanFromJson(
-                cached, "PlanCache entry " + key.digest());
-            result.planJson = std::move(cached);
+            result.plan = hit->plan;
+            result.planJson = hit->planJson;
             result.source = waited ? PlanSource::kCoalesced
                                    : PlanSource::kCacheHit;
             return result;
@@ -262,28 +174,27 @@ PlanEngine::plan(const PlanQuery &query)
         cv_.wait(lock);
     }
     inflight_.insert(full);
-    std::string cached_shortlist;
-    const bool incremental =
-        cache_.shortlistForBase(key.base(), &cached_shortlist);
+    const std::string base_key = result.key.base();
+    const CachedPlanPtr base = cache_.findBase(base_key);
     lock.unlock();
 
-    const PlanState state =
-        runPhases(query, key, incremental ? cached_shortlist : "");
-    std::string plan_json = enginePlanToJson(state.plan);
-    std::string shortlist_json = shortlistToJson(state.shortlist);
+    const bool incremental = base != nullptr;
+    const CachedPlanPtr entry =
+        runPhases(query, incremental ? &base->shortlist : nullptr, stats_);
 
     if (incremental && options_.verifyIncremental) {
-        const PlanState cold = runPhases(query, key, "");
-        if (enginePlanToJson(cold.plan) != plan_json ||
-            shortlistToJson(cold.shortlist) != shortlist_json)
+        const CachedPlanPtr cold = runPhases(query, nullptr, stats_);
+        if (cold->planJson != entry->planJson ||
+            shortlistToJson(cold->shortlist) !=
+                shortlistToJson(entry->shortlist))
             panic("PlanEngine: incremental re-tune of %s is not "
                   "bit-identical to the cold full tune",
-                  key.digest().c_str());
+                  result.key.digest().c_str());
         stats_.add("engine/serve/incremental_verified", 1.0);
     }
 
     lock.lock();
-    cache_.insert(full, key.base(), plan_json, std::move(shortlist_json));
+    cache_.insert(full, base_key, entry);
     inflight_.erase(full);
     lock.unlock();
     cv_.notify_all();
@@ -291,10 +202,8 @@ PlanEngine::plan(const PlanQuery &query)
                            : "engine/serve/cold", 1.0);
     stats_.add("engine/serve/computed", 1.0);
 
-    PlanResult result;
-    result.plan = state.plan;
-    result.planJson = std::move(plan_json);
-    result.key = key;
+    result.plan = entry->plan;
+    result.planJson = entry->planJson;
     result.source =
         incremental ? PlanSource::kIncremental : PlanSource::kCold;
     return result;

@@ -2,12 +2,11 @@
  * @file
  * PlanEngine: the concurrent plan-serving facade (DESIGN.md §4k).
  *
- * All tuning routes through one declared sequence of `PlanPhase`
- * stages — phase1-shortlist → phase2-dataflow-slice → robust-rerank →
- * recovery-pricing → pipeline-3d — each consuming and producing the
- * typed `PlanState`. The facade wraps the existing `LlmAutotuner` /
- * robust / recovery / pipeline entry points; new search stages are
- * added by inserting a phase, not by growing another ad-hoc function.
+ * A cache miss runs the tuning phases as one straight-line function:
+ * phase1-shortlist → phase2-dataflow-slice → robust-rerank →
+ * recovery-pricing → pipeline-3d, the last three only when the query
+ * enables them. The facade wraps the existing `LlmAutotuner` / robust /
+ * recovery / pipeline entry points.
  *
  * Serving semantics:
  *  - **Content-addressed cache**: results are stored under the exact
@@ -16,10 +15,11 @@
  *    the second blocks on the first and returns the cached plan
  *    (`kCoalesced`).
  *  - **Incremental re-tune**: a query whose key differs from a cached
- *    entry only in the fault component reuses that entry's phase-1/2
- *    shortlist and re-runs only the fault-aware phases — bit-identical
- *    to a cold full tune because the shortlist itself is deterministic
- *    (optionally verified per serve via `Options::verifyIncremental`).
+ *    entry only in the fault component reuses that entry's typed
+ *    phase-1/2 shortlist and re-runs only the later phases —
+ *    bit-identical to a cold full tune because the shortlist itself is
+ *    deterministic (optionally verified per serve via
+ *    `Options::verifyIncremental`).
  *  - **Concurrency**: `planMany` fans queries out on the global
  *    `util/parallel` pool; per-query results are bit-identical for any
  *    `MESHSLICE_THREADS`, only the cold/coalesced attribution varies.
@@ -28,7 +28,6 @@
 #define MESHSLICE_ENGINE_PLAN_ENGINE_HPP_
 
 #include <condition_variable>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_set>
@@ -38,32 +37,6 @@
 #include "engine/plan_types.hpp"
 
 namespace meshslice {
-
-/** One stage of the engine's declared search pipeline. */
-class PlanPhase
-{
-  public:
-    virtual ~PlanPhase() = default;
-
-    /** Stable phase name (appears in docs, stats and `pickedBy`). */
-    virtual const char *name() const = 0;
-
-    /**
-     * True when the phase's output is a pure function of the query's
-     * *base* key (model|cluster|tune) — independent of the fault
-     * profile — and is cached as an intermediate. Incremental queries
-     * skip reusable phases and warm-start from the cached state.
-     */
-    virtual bool reusableAcrossFaultProfiles() const = 0;
-
-    /** True when @p query asks for this phase at all. */
-    virtual bool enabled(const PlanQuery &query) const = 0;
-
-    /** Consume/extend @p state. @p tuner is calibrated for the query's
-     *  chip config. */
-    virtual void run(const LlmAutotuner &tuner, PlanState &state) const
-        = 0;
-};
 
 /** How a served plan was obtained. */
 enum class PlanSource
@@ -121,7 +94,7 @@ class PlanEngine
      */
     std::vector<PlanResult> planMany(const std::vector<PlanQuery> &queries);
 
-    /** The declared phase sequence, in execution order. */
+    /** The phase names, in execution order. */
     static std::vector<std::string> phaseNames();
 
     /** Write the cache to `Options::persistPath` (fatal if empty). */
@@ -134,12 +107,8 @@ class PlanEngine
     long computedCount() const;
 
   private:
-    PlanState runPhases(const PlanQuery &query, const PlanKey &key,
-                        const std::string &cached_shortlist_json);
-
     Options options_;
     StatsRegistry stats_;
-    std::vector<std::unique_ptr<PlanPhase>> phases_;
 
     mutable std::mutex mu_;
     std::condition_variable cv_;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Typed state of the PlanEngine's phase pipeline (DESIGN.md §4k).
+ * Typed inputs and outputs of the PlanEngine (DESIGN.md §4k).
  *
  * A `PlanQuery` is everything a "plan my training job" request can
  * vary: the model and batch, the cluster (chip count + `ChipConfig`),
@@ -16,15 +16,11 @@
  * An `EnginePlan` is the serializable outcome: the 3D `ClusterPlan`,
  * the picked 2D TP plan with per-GeMM dataflow/slice counts, and the
  * summaries of whichever robust / recovery / pipeline phases ran.
- * `PlanState` is the working state threaded through the `PlanPhase`
- * sequence; the shortlist it carries is also the cached per-phase
- * intermediate that warm-starts incremental queries.
  */
 #ifndef MESHSLICE_ENGINE_PLAN_TYPES_HPP_
 #define MESHSLICE_ENGINE_PLAN_TYPES_HPP_
 
 #include <string>
-#include <vector>
 
 #include "hw/chip_config.hpp"
 #include "model/transformer.hpp"
@@ -85,15 +81,6 @@ struct PlanKey
 
     /** Short display tag of `full()`. */
     std::string digest() const;
-
-    /** True when only the fault component may differ — the condition
-     *  for the incremental re-tune path. */
-    bool
-    sameBase(const PlanKey &other) const
-    {
-        return model == other.model && cluster == other.cluster &&
-               tune == other.tune;
-    }
 };
 
 /** Build the four-component key of @p query. */
@@ -125,33 +112,6 @@ struct EnginePlan
     Time pipelineSimTotal = -1.0;  ///< simulated step (< 0 = none)
     Bytes stageMemoryBytes = 0;    ///< peak per-chip bytes, stage 0
     int peakStash = 0;             ///< peak in-flight micro-batches
-};
-
-/** Working state consumed/produced by the `PlanPhase` sequence. */
-struct PlanState
-{
-    PlanQuery query;
-    PlanKey key;
-
-    /**
-     * Phase-1/2 output: the top-K mesh shapes by nominal estimate,
-     * each a complete plan (dataflows + tuned slice counts). Sized to
-     * the largest topK any enabled downstream phase needs, and prefix
-     * stable, so every consumer truncates to its own K. This is the
-     * cached intermediate incremental queries reuse.
-     */
-    std::vector<AutotuneResult> shortlist;
-    /** True when `shortlist` was warm-started from the cache (the
-     *  incremental path) instead of computed by phase1-shortlist. */
-    bool shortlistFromCache = false;
-
-    /** Full phase outputs (not serialized; `plan` carries summaries). */
-    RobustTuneResult robust;
-    RecoveryTuneResult recovery;
-    PipelineTuneResult pipeline3d;
-
-    /** The accumulating outcome. */
-    EnginePlan plan;
 };
 
 /**

@@ -158,10 +158,7 @@ buildPhase1(Algorithm algo, const TransformerConfig &model,
         layer.stationary = optimize_dataflow
                                ? chooseStationary(gemm.m, gemm.k, gemm.n)
                                : Stationary::kY;
-        // Cannon only implements the OS dataflow (Sec 2.3.2), and
-        // OneSided pulls into a stationary C tile, so every pass of
-        // either runs output-stationary with its computational shape.
-        if (algo == Algorithm::kCannon || algo == Algorithm::kOneSided) {
+        if (runsOutputStationaryOnly(algo)) {
             layer.passes = dataflowsForLayer(Stationary::kY, gemm);
             for (GemmPlan &p : layer.passes)
                 p.dataflow = Dataflow::kOS;

@@ -188,27 +188,13 @@ sampleScenarios(const RobustTuneConfig &cfg, int chips)
 
 RobustTuneResult
 tuneRobust(const LlmAutotuner &tuner, Algorithm algo,
-           const TransformerConfig &model, const TrainingConfig &train,
-           int chips, const RobustTuneConfig &cfg, bool optimize_dataflow,
-           StatsRegistry *stats)
-{
-    return tuneRobustShortlist(
-        tuner, algo,
-        tuner.rankShapes(algo, model, train, chips, cfg.topK,
-                         optimize_dataflow),
-        chips, cfg, stats);
-}
-
-RobustTuneResult
-tuneRobustShortlist(const LlmAutotuner &tuner, Algorithm algo,
-                    const std::vector<AutotuneResult> &full_shortlist,
-                    int chips, const RobustTuneConfig &cfg,
-                    StatsRegistry *stats)
+           const std::vector<AutotuneResult> &full_shortlist, int chips,
+           const RobustTuneConfig &cfg, StatsRegistry *stats)
 {
     if (!(cfg.quantile > 0.0 && cfg.quantile <= 1.0))
         fatal("tuneRobust: quantile %g outside (0, 1]", cfg.quantile);
     if (full_shortlist.empty())
-        fatal("tuneRobustShortlist: the shortlist is empty");
+        fatal("tuneRobust: the shortlist is empty");
 
     RobustTuneResult result;
     result.scenarios = cfg.scenarios.empty() ? sampleScenarios(cfg, chips)
@@ -312,24 +298,8 @@ tuneRobustShortlist(const LlmAutotuner &tuner, Algorithm algo,
 
 RecoveryTuneResult
 tuneWithRecovery(const LlmAutotuner &tuner, Algorithm algo,
-                 const TransformerConfig &model, const TrainingConfig &train,
-                 int chips, const RecoveryTuneConfig &cfg,
-                 bool optimize_dataflow)
-{
-    if (cfg.topK <= 0)
-        fatal("tuneWithRecovery: topK must be positive (got %d)",
-              cfg.topK);
-    return tuneWithRecoveryShortlist(
-        tuner, algo,
-        tuner.rankShapes(algo, model, train, chips, cfg.topK,
-                         optimize_dataflow),
-        chips, cfg);
-}
-
-RecoveryTuneResult
-tuneWithRecoveryShortlist(const LlmAutotuner &tuner, Algorithm algo,
-                          const std::vector<AutotuneResult> &full_shortlist,
-                          int chips, const RecoveryTuneConfig &cfg)
+                 const std::vector<AutotuneResult> &full_shortlist,
+                 int chips, const RecoveryTuneConfig &cfg)
 {
     if (cfg.topK <= 0)
         fatal("tuneWithRecovery: topK must be positive (got %d)",
@@ -344,7 +314,7 @@ tuneWithRecoveryShortlist(const LlmAutotuner &tuner, Algorithm algo,
               "Young-Daly interval",
               static_cast<long long>(cfg.checkpointBytesPerChip));
     if (full_shortlist.empty())
-        fatal("tuneWithRecoveryShortlist: the shortlist is empty");
+        fatal("tuneWithRecovery: the shortlist is empty");
 
     std::vector<AutotuneResult> shortlist = full_shortlist;
     if (static_cast<int>(shortlist.size()) > cfg.topK)

@@ -119,8 +119,11 @@ std::vector<FaultScenario> sampleScenarios(const RobustTuneConfig &cfg,
                                            int chips);
 
 /**
- * Robust phase-2: shortlist `cfg.topK` shapes with @p tuner, simulate
- * each under the scenarios, pick by the quantile objective.
+ * Robust phase-2: simulate the first `cfg.topK` entries of @p shortlist
+ * (all of it when topK <= 0) under the scenarios and pick by the
+ * quantile objective. @p shortlist is `LlmAutotuner::rankShapes`
+ * output, which is prefix stable, so a longer list evaluates exactly
+ * like `rankShapes(cfg.topK)`.
  *
  * The (candidate, scenario) evaluations are independent simulations on
  * private clusters and run concurrently on the global thread pool;
@@ -131,24 +134,9 @@ std::vector<FaultScenario> sampleScenarios(const RobustTuneConfig &cfg,
  * `robust/cand<ci>/scen<si>/...`.
  */
 RobustTuneResult tuneRobust(const LlmAutotuner &tuner, Algorithm algo,
-                            const TransformerConfig &model,
-                            const TrainingConfig &train, int chips,
-                            const RobustTuneConfig &cfg,
-                            bool optimize_dataflow = true,
+                            const std::vector<AutotuneResult> &shortlist,
+                            int chips, const RobustTuneConfig &cfg,
                             StatsRegistry *stats = nullptr);
-
-/**
- * The robust re-ranking alone, over a @p shortlist the caller already
- * holds (at most `cfg.topK` entries are evaluated). `tuneRobust` is
- * exactly `tuneRobustShortlist(rankShapes(...))`; the PlanEngine's
- * incremental re-tune calls this directly with the cached phase-1/2
- * shortlist so a fault-profile-only change skips the shape sweep — and
- * is bit-identical to the cold full tune by construction.
- */
-RobustTuneResult tuneRobustShortlist(
-    const LlmAutotuner &tuner, Algorithm algo,
-    const std::vector<AutotuneResult> &shortlist, int chips,
-    const RobustTuneConfig &cfg, StatsRegistry *stats = nullptr);
 
 /** The objective: @p q-quantile of @p times (1.0 = max). */
 Time robustObjective(std::vector<Time> times, double q);
@@ -211,27 +199,15 @@ struct RecoveryTuneResult
 };
 
 /**
- * Shortlist `cfg.topK` shapes with @p tuner, price each one's
- * checkpoint/restart economics (C from the chip's host-DMA bandwidth,
- * M = chipMtbf / chips, D = detection + restart + that shape's
- * expected re-shard), solve τ* per shape, and pick the minimum
- * `effectiveStepTime`. Candidate and pick records are emitted through
- * `SearchTrace` as `"phase":"recovery"` / `"phase":"recovery_pick"`.
+ * Price the checkpoint/restart economics of the first `cfg.topK`
+ * entries of @p shortlist (`rankShapes` output; C from the chip's
+ * host-DMA bandwidth, M = chipMtbf / chips, D = detection + restart +
+ * that shape's expected re-shard), solve τ* per shape, and pick the
+ * minimum `effectiveStepTime`. Candidate and pick records are emitted
+ * through `SearchTrace` as `"phase":"recovery"` /
+ * `"phase":"recovery_pick"`.
  */
-RecoveryTuneResult tuneWithRecovery(const LlmAutotuner &tuner,
-                                    Algorithm algo,
-                                    const TransformerConfig &model,
-                                    const TrainingConfig &train, int chips,
-                                    const RecoveryTuneConfig &cfg,
-                                    bool optimize_dataflow = true);
-
-/**
- * The recovery pricing alone, over a caller-held @p shortlist (at most
- * `cfg.topK` entries are priced). `tuneWithRecovery` is exactly
- * `tuneWithRecoveryShortlist(rankShapes(...))`; see
- * `tuneRobustShortlist` for why the split exists.
- */
-RecoveryTuneResult tuneWithRecoveryShortlist(
+RecoveryTuneResult tuneWithRecovery(
     const LlmAutotuner &tuner, Algorithm algo,
     const std::vector<AutotuneResult> &shortlist, int chips,
     const RecoveryTuneConfig &cfg);

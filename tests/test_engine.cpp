@@ -2,9 +2,10 @@
  * @file
  * PlanEngine subsystem tests: content-addressed key stability and
  * sensitivity, deterministic plan JSON round-trips, LRU cache
- * behavior and persistence, cache-hit / single-flight / incremental
- * serving identity, thread invariance, and the concurrency safety of
- * the comm-calibration memoization the engine hammers.
+ * behavior, persistence and load validation, phase dispatch,
+ * cache-hit / single-flight / incremental serving identity, thread
+ * invariance, and the concurrency safety of the comm-calibration
+ * memoization the engine hammers.
  */
 #include <gtest/gtest.h>
 
@@ -16,7 +17,7 @@
 #include "engine/plan_engine.hpp"
 #include "engine/plan_json.hpp"
 #include "tuner/cost_model.hpp"
-#include "tuner/robust.hpp"
+#include "util/json.hpp"
 #include "util/parallel.hpp"
 #include "util/units.hpp"
 
@@ -46,6 +47,20 @@ tinyQuery(std::uint64_t fault_seed = 7)
     q.recovery.checkpointBytesPerChip = GiB(1.0);
     q.recovery.topK = 2;
     return q;
+}
+
+/** A typed cache entry built from real tuner output: the plan a cold
+ *  serve of `tinyQuery(fault_seed)` returns and its shortlist. */
+CachedPlanPtr
+tinyEntry(std::uint64_t fault_seed = 7)
+{
+    const PlanQuery q = tinyQuery(fault_seed);
+    const LlmAutotuner tuner(CostModel::calibrated(q.chip));
+    PlanEngine engine;
+    return makeCachedPlan(engine.plan(q).plan,
+                          tuner.rankShapes(q.algo, q.model, q.train,
+                                           q.chips, shortlistSizeFor(q),
+                                           q.optimizeDataflow));
 }
 
 std::string
@@ -82,7 +97,7 @@ TEST(PlanKey, EveryComponentIsSensitive)
     PlanQuery q = tinyQuery();
     q.model.hiddenDim += 128;
     EXPECT_NE(planKeyOf(q).model, base.model);
-    EXPECT_FALSE(planKeyOf(q).sameBase(base));
+    EXPECT_NE(planKeyOf(q).base(), base.base());
 
     q = tinyQuery();
     q.chips = 16;
@@ -98,18 +113,18 @@ TEST(PlanKey, EveryComponentIsSensitive)
     q = tinyQuery();
     q.recovery.chipMtbf *= 2.0;
     EXPECT_NE(planKeyOf(q).tune, base.tune);
-    EXPECT_FALSE(planKeyOf(q).sameBase(base));
+    EXPECT_NE(planKeyOf(q).base(), base.base());
 
     q = tinyQuery();
     q.robust.quantile = 0.9;
-    EXPECT_FALSE(planKeyOf(q).sameBase(base));
+    EXPECT_NE(planKeyOf(q).base(), base.base());
 }
 
 TEST(PlanKey, FaultOnlyDeltaIsIncrementalEligible)
 {
     const PlanKey base = planKeyOf(tinyQuery(7));
     const PlanKey reseeded = planKeyOf(tinyQuery(8));
-    EXPECT_TRUE(reseeded.sameBase(base));
+    EXPECT_EQ(reseeded.base(), base.base());
     EXPECT_NE(reseeded.fault, base.fault);
     EXPECT_NE(reseeded.full(), base.full());
 
@@ -122,7 +137,7 @@ TEST(PlanKey, FaultOnlyDeltaIsIncrementalEligible)
     PlanQuery qb = qa;
     qb.robust.scenarios[0].faults[0].start = 1e-9;
     const PlanKey ka = planKeyOf(qa), kb = planKeyOf(qb);
-    EXPECT_TRUE(kb.sameBase(ka));
+    EXPECT_EQ(kb.base(), ka.base());
     EXPECT_NE(kb.fault, ka.fault);
 }
 
@@ -196,39 +211,43 @@ TEST(PlanCacheTest, LruEvictionAndCounters)
     StatsRegistry stats;
     stats.enable(true);
     PlanCache cache(2, &stats);
-    cache.insert("a#f1", "a", "planA", "shortA");
-    cache.insert("b#f1", "b", "planB", "shortB");
+    const CachedPlanPtr a = tinyEntry(), b = tinyEntry(), c = tinyEntry();
+    cache.insert("a#f1", "a", a);
+    cache.insert("b#f1", "b", b);
 
-    std::string out;
-    EXPECT_TRUE(cache.lookup("a#f1", &out)); // touches a → b is LRU
-    EXPECT_EQ(out, "planA");
-    cache.insert("c#f1", "c", "planC", "shortC");
+    const CachedPlanPtr hit = cache.lookup("a#f1"); // touches a → b is LRU
+    EXPECT_EQ(hit, a);
+    EXPECT_EQ(hit->planJson, enginePlanToJson(hit->plan));
+    cache.insert("c#f1", "c", c);
     EXPECT_EQ(cache.size(), 2u);
-    EXPECT_FALSE(cache.lookup("b#f1", &out)); // evicted
-    EXPECT_TRUE(cache.lookup("c#f1", &out));
+    EXPECT_EQ(cache.lookup("b#f1"), nullptr); // evicted
+    EXPECT_EQ(cache.lookup("c#f1"), c);
 
     EXPECT_EQ(stats.counter("engine/cache/insert"), 3.0);
     EXPECT_EQ(stats.counter("engine/cache/eviction"), 1.0);
     EXPECT_EQ(stats.counter("engine/cache/miss"), 1.0);
     EXPECT_EQ(stats.counter("engine/cache/hit"), 2.0);
 
-    std::string shortlist;
-    EXPECT_TRUE(cache.shortlistForBase("a", &shortlist));
-    EXPECT_EQ(shortlist, "shortA");
-    EXPECT_FALSE(cache.shortlistForBase("b", &shortlist));
+    EXPECT_EQ(cache.findBase("a"), a);
+    EXPECT_EQ(cache.findBase("b"), nullptr);
+    EXPECT_EQ(stats.counter("engine/cache/base_hit"), 1.0);
 }
 
 TEST(PlanCacheTest, PersistenceRoundTripIsByteIdentical)
 {
     PlanCache cache(8, nullptr);
-    cache.insert("zeta#f", "zeta", "{\"p\":1}", "[1]");
-    cache.insert("alpha#f", "alpha", "{\"p\":2}", "[2]");
+    cache.insert("zeta#f", "zeta", tinyEntry(7));
+    cache.insert("alpha#f", "alpha", tinyEntry(8));
     const std::string text = cache.serialize();
 
     PlanCache reloaded(8, nullptr);
     reloaded.load(text, "unit test");
     EXPECT_EQ(reloaded.size(), 2u);
     EXPECT_EQ(reloaded.serialize(), text); // sorted by key, stable
+    EXPECT_EQ(reloaded.lookup("alpha#f")->planJson,
+              cache.lookup("alpha#f")->planJson);
+    EXPECT_EQ(shortlistToJson(reloaded.findBase("zeta")->shortlist),
+              shortlistToJson(cache.findBase("zeta")->shortlist));
 
     const std::string path = tempPath("plan_cache_roundtrip.json");
     cache.saveFile(path);
@@ -240,6 +259,34 @@ TEST(PlanCacheTest, PersistenceRoundTripIsByteIdentical)
     EXPECT_FALSE(missing.loadFileIfExists(path));
 }
 
+TEST(PlanCacheDeathTest, LoadRejectsMalformedPlanOrShortlist)
+{
+    // The entry below starts the global thread pool; a forked child
+    // could not exit cleanly past it.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const CachedPlanPtr entry = tinyEntry();
+    const std::string shortlist = shortlistToJson(entry->shortlist);
+    const auto file = [](const std::string &plan,
+                         const std::string &list) {
+        return "{\"entries\": [{\"key\": \"k#f\", \"base\": \"k\", "
+               "\"plan\": " + jsonString(plan) + ", \"shortlist\": " +
+               jsonString(list) + "}]}";
+    };
+    PlanCache cache(4, nullptr);
+    cache.load(file(entry->planJson, shortlist), "good.json");
+    EXPECT_EQ(cache.size(), 1u);
+
+    EXPECT_DEATH(cache.load(file(entry->planJson.substr(0, 40), shortlist),
+                            "bad.json"),
+                 "EnginePlan: .* at byte [0-9]+ of bad.json entry 0 plan");
+    EXPECT_DEATH(cache.load(file(entry->planJson, shortlist.substr(0, 40)),
+                            "bad.json"),
+                 "Shortlist: .* at byte [0-9]+ of bad.json entry 0 "
+                 "shortlist");
+    EXPECT_DEATH(cache.load(file(entry->planJson, "[]"), "bad.json"),
+                 "bad.json entry 0: empty shortlist");
+}
+
 TEST(PlanEngineTest, PhaseSequenceIsDeclared)
 {
     const std::vector<std::string> names = PlanEngine::phaseNames();
@@ -247,6 +294,45 @@ TEST(PlanEngineTest, PhaseSequenceIsDeclared)
         "phase1-shortlist", "phase2-dataflow-slice", "robust-rerank",
         "recovery-pricing", "pipeline-3d"};
     EXPECT_EQ(names, want);
+}
+
+TEST(PlanEngineTest, DispatchRunsEachEnabledPhaseOnce)
+{
+    PlanEngine engine;
+    const auto runs = [&engine](const char *phase) {
+        return engine.stats().counter(std::string("engine/phase/") +
+                                      phase + "/runs");
+    };
+    const PlanResult cold = engine.plan(tinyQuery(7)); // robust+recovery
+    ASSERT_EQ(cold.source, PlanSource::kCold);
+    EXPECT_EQ(runs("phase1-shortlist"), 1.0);
+    EXPECT_EQ(runs("phase2-dataflow-slice"), 1.0);
+    EXPECT_EQ(runs("robust-rerank"), 1.0);
+    EXPECT_EQ(runs("recovery-pricing"), 1.0);
+    EXPECT_EQ(runs("pipeline-3d"), 0.0);
+    EXPECT_EQ(cold.plan.pickedBy, "recovery-pricing");
+
+    // A fault-only delta reuses the cached shortlist.
+    const PlanResult incremental = engine.plan(tinyQuery(8));
+    ASSERT_EQ(incremental.source, PlanSource::kIncremental);
+    EXPECT_EQ(runs("phase1-shortlist"), 1.0);
+    EXPECT_EQ(runs("phase2-dataflow-slice"), 2.0);
+    EXPECT_EQ(runs("robust-rerank"), 2.0);
+    EXPECT_EQ(runs("recovery-pricing"), 2.0);
+    EXPECT_EQ(runs("pipeline-3d"), 0.0);
+    EXPECT_EQ(incremental.plan.pickedBy, "recovery-pricing");
+
+    // `pickedBy` names the last decision phase that ran.
+    PlanQuery robust_only = tinyQuery();
+    robust_only.runRecovery = false;
+    EXPECT_EQ(engine.plan(robust_only).plan.pickedBy, "robust-rerank");
+    PlanQuery nominal = robust_only;
+    nominal.runRobust = false;
+    const PlanResult nominal_plan = engine.plan(nominal);
+    EXPECT_EQ(nominal_plan.plan.pickedBy, "phase2-dataflow-slice");
+    EXPECT_FALSE(nominal_plan.plan.hasRobust);
+    EXPECT_EQ(runs("robust-rerank"), 3.0);
+    EXPECT_EQ(runs("recovery-pricing"), 2.0);
 }
 
 TEST(PlanEngineTest, CacheHitIsByteIdenticalAndComputesOnce)
@@ -348,29 +434,6 @@ TEST(PlanEngineTest, CalibrationMemoizationIsConcurrencySafe)
     for (std::thread &t : threads)
         t.join();
     EXPECT_EQ(calibrationRunCount() - before, 3);
-}
-
-TEST(PlanEngineTest, ShortlistOverloadsMatchFullTunes)
-{
-    const PlanQuery q = tinyQuery();
-    const LlmAutotuner tuner(CostModel::calibrated(q.chip));
-    const std::vector<AutotuneResult> shortlist = tuner.rankShapes(
-        q.algo, q.model, q.train, q.chips, q.robust.topK, true);
-
-    const RobustTuneResult full = tuneRobust(tuner, q.algo, q.model,
-                                             q.train, q.chips, q.robust);
-    const RobustTuneResult from_shortlist =
-        tuneRobustShortlist(tuner, q.algo, shortlist, q.chips, q.robust);
-    EXPECT_EQ(from_shortlist.pickedIndex, full.pickedIndex);
-    EXPECT_EQ(from_shortlist.picked().objective, full.picked().objective);
-
-    const RecoveryTuneResult recovery = tuneWithRecoveryShortlist(
-        tuner, q.algo, shortlist, q.chips, q.recovery);
-    const RecoveryTuneResult recovery_full = tuneWithRecovery(
-        tuner, q.algo, q.model, q.train, q.chips, q.recovery);
-    EXPECT_EQ(recovery.picked().plan.rows, recovery_full.picked().plan.rows);
-    EXPECT_EQ(recovery.picked().effectiveStepTime,
-              recovery_full.picked().effectiveStepTime);
 }
 
 } // namespace
