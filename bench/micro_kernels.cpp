@@ -4,8 +4,9 @@
  * on: the blocked multithreaded `Matrix::gemmAcc` kernel, the
  * autotuner's parallel design-space search, the calibration cache, and
  * — since the parallel-simulation PR — the discrete-event simulator
- * itself (`sim_throughput`: event batching within one run, concurrent
- * candidate simulations across runs). Emits `BENCH_kernels.json` (in
+ * itself (`sim_throughput`: event batching within one run, the fluid
+ * waterfill's work per recompute, concurrent candidate simulations
+ * across runs). Emits `BENCH_kernels.json` (in
  * the working directory) so the perf trajectory of these paths is
  * tracked across PRs.
  *
@@ -21,6 +22,7 @@
  * every sweep but keeps the JSON schema, so `tools/check_json.sh` can
  * validate the artifact in CI.
  */
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -30,6 +32,7 @@
 #include <thread>
 
 #include "bench/common.hpp"
+#include "core/executor.hpp"
 #include "core/fault_study.hpp"
 #include "core/taskgraph.hpp"
 #include "gemm/matrix.hpp"
@@ -141,6 +144,30 @@ runTorusGemm(const ChipConfig &cfg, int rows, int cols, bool eager,
         cluster.sim().run();
     }
     return out;
+}
+
+/**
+ * Waterfill work of one contended simulation: a GPT-3-sized MeshSlice
+ * GeMM (16384x12288x49152, S=4, LS dataflow) on an 8x16 torus, where
+ * link transfers and compute streams oversubscribe each chip's HBM.
+ */
+FluidNetwork::WaterfillCounters
+measureWaterfill(const ChipConfig &cfg)
+{
+    const int rows = 8, cols = 16;
+    Cluster cluster(cfg, rows * cols);
+    TorusMesh mesh(cluster, rows, cols);
+    Gemm2DSpec spec;
+    spec.m = 16384;
+    spec.k = 12288;
+    spec.n = 49152;
+    spec.dataflow = Dataflow::kLS;
+    spec.rows = rows;
+    spec.cols = cols;
+    spec.sliceCount = 4;
+    spec.bytesPerElement = cfg.bytesPerElement;
+    GemmExecutor(mesh).run(Algorithm::kMeshSlice, spec);
+    return cluster.net().waterfillCounters();
 }
 
 } // namespace
@@ -265,6 +292,17 @@ main(int argc, char **argv)
               << " events in " << eager.wallMs << " ms = " << eager_eps
               << " events/s\n"
               << "  batching speedup     " << batching_speedup << "x\n";
+    const FluidNetwork::WaterfillCounters wf = measureWaterfill(cfg);
+    const double recomputes =
+        static_cast<double>(std::max<std::uint64_t>(wf.recomputes, 1));
+    const auto per_recompute = [recomputes](std::uint64_t count) {
+        return static_cast<double>(count) / recomputes;
+    };
+    std::cout << "  waterfill (8x16 LS GeMM): " << wf.recomputes
+              << " recomputes, per recompute " << per_recompute(wf.members)
+              << " members, "
+              << per_recompute(wf.picks) << " picks, "
+              << per_recompute(wf.memberSums) << " member sums\n";
 
     // Cross-mode identity at a size where the eager sweep can run to
     // completion: flow completion times and event counts must not
@@ -403,6 +441,19 @@ main(int argc, char **argv)
          << "      \"partial\": true\n"
          << "    },\n"
          << "    \"batching_speedup\": " << batching_speedup << ",\n"
+         << "    \"waterfill\": {\n"
+         << "      \"run\": \"meshslice_ls_8x16\",\n"
+         << "      \"recomputes\": " << wf.recomputes << ",\n"
+         << "      \"members\": " << wf.members << ",\n"
+         << "      \"picks\": " << wf.picks << ",\n"
+         << "      \"member_sums\": " << wf.memberSums << ",\n"
+         << "      \"members_per_recompute\": "
+         << per_recompute(wf.members) << ",\n"
+         << "      \"picks_per_recompute\": " << per_recompute(wf.picks)
+         << ",\n"
+         << "      \"member_sums_per_recompute\": "
+         << per_recompute(wf.memberSums) << "\n"
+         << "    },\n"
          << "    \"identity_check\": {\n"
          << "      \"torus\": " << id_torus << ",\n"
          << "      \"identical_time\": "

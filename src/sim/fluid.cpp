@@ -411,11 +411,6 @@ FluidNetwork::recompute()
                 .emplace_back(i, d.perUnit);
         }
     }
-    // The waterfill scans members in increasing resource id (matching
-    // the legacy full-resource sweep, so tie-breaks — and therefore
-    // rates — are bit-identical to it).
-    std::sort(memberIds_.begin(), memberIds_.end());
-
     // Settle accounting for every resource whose load may change:
     // whatever the previous assignment loaded plus this round's
     // members. Untouched resources keep a constant load, so their
@@ -432,64 +427,78 @@ FluidNetwork::recompute()
 
     // Saturate-and-waterfill: repeatedly pick the most oversubscribed
     // resource and cut its heaviest consumers to an equal consumption
-    // level that exactly fills the capacity. Rates only decrease, so each
-    // resource needs processing at most once.
-    memberProcessed_.assign(memberIds_.size(), 0);
-    std::vector<std::pair<double, size_t>> consumption; // (c_f, idx)
-    for (;;) {
-        ResourceId worst = -1;
-        std::int32_t worst_slot = -1;
-        double worst_ratio = 1.0 + kOverloadEps;
-        for (size_t m = 0; m < memberIds_.size(); ++m) {
-            if (memberProcessed_[m])
-                continue;
-            const ResourceId r = memberIds_[m];
-            const auto &on_r =
-                memberLists_[static_cast<size_t>(
-                    memberSlot_[static_cast<size_t>(r)])];
-            double load = 0.0;
-            for (const auto &[i, d] : on_r)
-                load += d * scratchRate_[i];
-            double ratio =
-                load / resources_[static_cast<size_t>(r)].capacity;
-            if (ratio > worst_ratio) {
-                worst_ratio = ratio;
-                worst = r;
-                worst_slot = static_cast<std::int32_t>(m);
-            }
+    // level that exactly fills the capacity. Rates only decrease (and
+    // float sums are monotone), so no load ever rises: each resource is
+    // picked at most once, one not oversubscribed now never will be, and
+    // a heap key summed before a cut is an upper bound after it. So each
+    // member is summed once, a max-heap keyed on (ratio, lowest id) holds
+    // the oversubscribed ones, and a key a cut made dirty is re-summed
+    // (in member-list order) only when it reaches the top. A clean top is
+    // then exactly the maximum, with ties to the lowest id: picks and
+    // rates are bit-identical to rescanning every member per pick.
+    const auto lower_priority = [](const PickEntry &a, const PickEntry &b) {
+        return a.ratio < b.ratio || (a.ratio == b.ratio && a.id > b.id);
+    };
+    const auto sum_member = [&](std::size_t m) {
+        double load = 0.0;
+        for (const auto &[i, d] : memberLists_[m])
+            load += d * scratchRate_[i];
+        ++waterfill_.memberSums;
+        const double ratio =
+            load / resources_[static_cast<size_t>(memberIds_[m])].capacity;
+        if (ratio > 1.0 + kOverloadEps) {
+            pickHeap_.push_back(
+                {ratio, memberIds_[m], static_cast<std::int32_t>(m)});
+            std::push_heap(pickHeap_.begin(), pickHeap_.end(),
+                           lower_priority);
         }
-        if (worst < 0)
-            break;
-        memberProcessed_[static_cast<size_t>(worst_slot)] = 1;
+    };
+    const size_t members = memberIds_.size();
+    ++waterfill_.recomputes;
+    waterfill_.members += members;
+    memberDirty_.assign(members, 0);
+    pickHeap_.clear();
+    for (size_t m = 0; m < members; ++m)
+        sum_member(m);
+    while (!pickHeap_.empty()) {
+        std::pop_heap(pickHeap_.begin(), pickHeap_.end(), lower_priority);
+        const PickEntry top = pickHeap_.back();
+        pickHeap_.pop_back();
+        const size_t slot = static_cast<size_t>(top.slot);
+        if (memberDirty_[slot]) {
+            memberDirty_[slot] = 0;
+            sum_member(slot);
+            continue;
+        }
+        ++waterfill_.picks;
+        const ResourceId worst = top.id;
 
         // Water-fill consumptions on `worst` to its capacity.
-        const auto &flows_on_r = memberLists_[static_cast<size_t>(
-            memberSlot_[static_cast<size_t>(worst)])];
-        consumption.clear();
-        consumption.reserve(flows_on_r.size());
+        const auto &flows_on_r = memberLists_[slot];
+        consumption_.clear();
         for (size_t k = 0; k < flows_on_r.size(); ++k)
-            consumption.emplace_back(
+            consumption_.emplace_back(
                 flows_on_r[k].second * scratchRate_[flows_on_r[k].first],
                 k);
-        std::sort(consumption.begin(), consumption.end());
+        std::sort(consumption_.begin(), consumption_.end());
 
         double cap = resources_[static_cast<size_t>(worst)].capacity;
         double below = 0.0; // sum of consumptions kept as-is
-        size_t cn = consumption.size();
+        size_t cn = consumption_.size();
         double level = 0.0;
         for (size_t k = 0; k < cn; ++k) {
-            // Remaining flows all cut to `level`; is consumption[k] kept?
+            // Remaining flows all cut to `level`; is consumption_[k] kept?
             double candidate =
                 (cap - below) / static_cast<double>(cn - k);
-            if (consumption[k].first <= candidate) {
-                below += consumption[k].first;
+            if (consumption_[k].first <= candidate) {
+                below += consumption_[k].first;
                 level = candidate; // provisional, refined each iteration
             } else {
                 level = candidate;
                 break;
             }
         }
-        for (const auto &[c, k] : consumption) {
+        for (const auto &[c, k] : consumption_) {
             if (c > level) {
                 size_t i = flows_on_r[k].first;
                 double d = flows_on_r[k].second;
@@ -500,6 +509,10 @@ FluidNetwork::recompute()
                     // strictly cut the flow is its binding resource.
                     if (publishFlowInfo_)
                         scratchBinding_[i] = worst;
+                    for (const Demand &dm : scratchFlows_[i]->demands) {
+                        const auto r = static_cast<size_t>(dm.resource);
+                        memberDirty_[static_cast<size_t>(memberSlot_[r])] = 1;
+                    }
                 }
             }
         }

@@ -18,7 +18,9 @@
  * resource independently); while some resource is oversubscribed, the most
  * oversubscribed one is picked and its flows are water-filled so the
  * heaviest consumers are cut to an equal consumption level that exactly
- * fills the capacity. This reproduces the first-order behaviour the paper
+ * fills the capacity. Picks come off a max-heap keyed on (ratio, lowest
+ * id), so a recompute over M member resources costs O(membership +
+ * cuts·log M). This reproduces the first-order behaviour the paper
  * relies on: NIC transfers capped by link bandwidth, compute streams using
  * the *remaining* HBM bandwidth, and slowdowns when the sum oversubscribes
  * HBM (the NIC<->core interference of Sec 4.1).
@@ -215,7 +217,23 @@ class FluidNetwork
      */
     const FlowEndInfo &lastFinishedFlow() const { return lastFlowInfo_; }
 
+    /** Waterfill work so far, for host-cost reports (never part of a
+     *  simulated output): rate recomputes; member resources (demanded
+     *  by a running flow) summed over recomputes; picks (resources
+     *  water-filled); member load sums (one per member per recompute,
+     *  plus one per heap key a cut made stale). */
+    struct WaterfillCounters
+    {
+        std::uint64_t recomputes = 0;
+        std::uint64_t members = 0;
+        std::uint64_t picks = 0;
+        std::uint64_t memberSums = 0;
+    };
+    const WaterfillCounters &waterfillCounters() const { return waterfill_; }
+
   private:
+    friend struct FluidNetworkTestPeer; ///< tests read the flow order
+
     struct Resource
     {
         std::string name;
@@ -288,7 +306,7 @@ class FluidNetwork
     std::vector<char> scratchParked_;
     /** Binding resource per flow (profiler only; empty when off). */
     std::vector<ResourceId> scratchBinding_;
-    /** Resources demanded by at least one non-parked flow this round. */
+    /** Resources demanded by a non-parked flow; memberIds_[m] has slot m. */
     std::vector<ResourceId> memberIds_;
     /** memberLists_[memberSlot_[r]] = (flow index, coeff) pairs on r;
      *  valid while resourceEpoch_[r] == epoch_. */
@@ -296,7 +314,19 @@ class FluidNetwork
     std::vector<std::int32_t> memberSlot_;
     std::vector<std::uint64_t> resourceEpoch_;
     std::uint64_t epoch_ = 0;
-    std::vector<char> memberProcessed_;
+    /** An oversubscribed member and its load/capacity when summed. */
+    struct PickEntry
+    {
+        double ratio;
+        ResourceId id;
+        std::int32_t slot;
+    };
+    std::vector<PickEntry> pickHeap_;
+    /** Per slot: a cut lowered the load since the slot's heap key. */
+    std::vector<char> memberDirty_;
+    /** (consumption, member-list index) on the resource being filled. */
+    std::vector<std::pair<double, std::size_t>> consumption_;
+    WaterfillCounters waterfill_;
     /** Resources carrying nonzero load from the previous assignment. */
     std::vector<ResourceId> loadedIds_;
 };

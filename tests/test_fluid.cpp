@@ -164,5 +164,62 @@ TEST_F(FluidTest, RatesRecomputeOnArrival)
     EXPECT_NEAR(end_first, 15.0, 1e-9);
 }
 
+/**
+ * Two resources tie exactly at load/capacity 2 and the waterfill order
+ * changes the answer, so the pick must break the tie by lowest id.
+ *   a (cap 4): x1, x2 (each held to 2 by its own cap-2 limiter), y
+ *   b (cap 4): y, z
+ * a first cuts x1, x2, y to 4/3; b then gives z the rest, 4 - 4/3.
+ * b first would cut y and z to 2; a then cuts x1, x2, y to 4/3 and
+ * z keeps 2.
+ */
+void
+expectLowestIdBreaksTie(bool a_has_lower_id)
+{
+    Simulator sim;
+    FluidNetwork net{sim};
+    const ResourceId first = net.addResource("first", 4.0);
+    const ResourceId second = net.addResource("second", 4.0);
+    const ResourceId a = a_has_lower_id ? first : second;
+    const ResourceId b = a_has_lower_id ? second : first;
+    const ResourceId lim1 = net.addResource("lim1", 2.0);
+    const ResourceId lim2 = net.addResource("lim2", 2.0);
+    const FlowId x1 = net.startFlow(1e9, {{a, 1.0}, {lim1, 1.0}}, [] {});
+    const FlowId x2 = net.startFlow(1e9, {{a, 1.0}, {lim2, 1.0}}, [] {});
+    const FlowId y = net.startFlow(1e9, {{a, 1.0}, {b, 1.0}}, [] {});
+    const FlowId z = net.startFlow(1e9, {{b, 1.0}}, [] {});
+    sim.runUntil(0.0);
+    EXPECT_EQ(net.waterfillCounters().picks, 2u);
+    EXPECT_EQ(net.flowRate(x1), 4.0 / 3.0);
+    EXPECT_EQ(net.flowRate(x2), 4.0 / 3.0);
+    EXPECT_EQ(net.flowRate(y), 4.0 / 3.0);
+    if (a_has_lower_id)
+        EXPECT_EQ(net.flowRate(z), 4.0 - 4.0 / 3.0);
+    else
+        EXPECT_EQ(net.flowRate(z), 2.0);
+}
+
+TEST(FluidTieBreak, EqualOversubscriptionPicksLowestIdFirst)
+{
+    expectLowestIdBreaksTie(true);
+    expectLowestIdBreaksTie(false);
+}
+
+TEST_F(FluidTest, WaterfillCountersCountWork)
+{
+    // One oversubscribed resource: two members summed at seeding, one
+    // pick; the cut flows touch no other oversubscribed member.
+    ResourceId hbm = net.addResource("hbm", 100.0);
+    ResourceId link = net.addResource("link", 1000.0);
+    net.startFlow(1000.0, {{hbm, 1.0}, {link, 1.0}}, [] {});
+    net.startFlow(1000.0, {{hbm, 1.0}}, [] {});
+    sim.runUntil(0.0);
+    const auto &wf = net.waterfillCounters();
+    EXPECT_EQ(wf.recomputes, 1u);
+    EXPECT_EQ(wf.members, 2u);
+    EXPECT_EQ(wf.picks, 1u);
+    EXPECT_EQ(wf.memberSums, 2u);
+}
+
 } // namespace
 } // namespace meshslice

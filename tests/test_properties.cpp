@@ -3,6 +3,8 @@
  * Randomized property tests across modules:
  *  - fluid-network conservation (every resource's consumed total equals
  *    the sum of its flows' size*demand; no flow starves);
+ *  - the heap-indexed waterfill gives bit-identical rates and picks to
+ *    the linear-scan reference on random, tie-heavy flow sets;
  *  - randomized functional MeshSlice sweeps against the dense
  *    reference over random shapes / meshes / slice configs;
  *  - Wang LS/RS variants agree with the Collective dataflows;
@@ -10,9 +12,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/executor.hpp"
 #include "gemm/functional_gemm.hpp"
 #include "sim/fluid.hpp"
+#include "waterfill_oracle.hpp"
 
 namespace meshslice {
 namespace {
@@ -139,6 +144,103 @@ TEST(FluidProperties, LoadNeverExceedsCapacity)
     // busyTime <= elapsed simulated time.
     EXPECT_LE(stats.busyTime, sim.now() + 1e-9);
     EXPECT_NEAR(stats.totalConsumed / 100.0, stats.busyTime, 1e-6);
+}
+
+TEST(FluidProperties, WaterfillMatchesLinearScanOracleBitwise)
+{
+    // Small discrete capacity and coefficient sets make exact ratio
+    // ties common; down resources park flows. Each trial runs a few
+    // rounds of mutations (start, cancel, capacity and availability
+    // changes), so the network's reused scratch state is exercised
+    // across recomputes too.
+    Rng rng{1313};
+    int picks = 0;
+    int tied_picks = 0;
+    int parked = 0;
+    for (int trial = 0; trial < 3000; ++trial) {
+        Simulator sim;
+        FluidNetwork net(sim);
+        net.setPublishFlowInfo(trial % 2 == 0);
+        // Keeps the queue non-empty: an all-parked round is not a stall.
+        sim.schedule(1e9, [] {});
+        const int n_res = static_cast<int>(rng.range(1, 8));
+        std::vector<double> capacity;
+        std::vector<char> available;
+        for (int r = 0; r < n_res; ++r) {
+            capacity.push_back(rng.pick({1.0, 2.0, 3.0, 4.0, 6.0}));
+            available.push_back(1);
+            net.addResource("r", capacity.back());
+        }
+        std::map<FlowId, std::vector<Demand>> demands_of;
+        for (int round = 0; round < 3; ++round) {
+            for (int r = 0; r < n_res; ++r) {
+                const auto ri = static_cast<size_t>(r);
+                if (rng.range(0, 9) == 0) {
+                    available[ri] = !available[ri];
+                    net.setAvailable(r, available[ri] != 0);
+                }
+                if (rng.range(0, 9) == 0) {
+                    capacity[ri] = rng.pick({1.0, 2.0, 3.0, 4.0, 6.0});
+                    net.setCapacity(r, capacity[ri]);
+                }
+            }
+            for (auto it = demands_of.begin(); it != demands_of.end();) {
+                if (rng.range(0, 3) == 0) {
+                    EXPECT_TRUE(net.cancelFlow(it->first));
+                    it = demands_of.erase(it);
+                } else {
+                    ++it;
+                }
+            }
+            const int new_flows = static_cast<int>(rng.range(1, 10));
+            for (int f = 0; f < new_flows; ++f) {
+                std::vector<Demand> demands;
+                const int touches =
+                    static_cast<int>(rng.range(1, std::min(3, n_res)));
+                while (static_cast<int>(demands.size()) < touches) {
+                    const auto r =
+                        static_cast<ResourceId>(rng.range(0, n_res - 1));
+                    bool dup = false;
+                    for (const Demand &d : demands)
+                        dup = dup || d.resource == r;
+                    if (!dup)
+                        demands.push_back(
+                            Demand{r, rng.pick({0.5, 1.0, 2.0, 3.0})});
+                }
+                // Large enough that no flow completes in the round.
+                const FlowId id = net.startFlow(1e12, demands, [] {});
+                demands_of[id] = demands;
+            }
+
+            const auto before = net.waterfillCounters();
+            sim.runUntil(sim.now()); // the round's one recompute
+            const auto after = net.waterfillCounters();
+            const std::vector<FlowId> order =
+                FluidNetworkTestPeer::flowOrder(net);
+            ASSERT_EQ(order.size(), demands_of.size());
+            std::vector<std::vector<Demand>> flows;
+            for (FlowId id : order)
+                flows.push_back(demands_of.at(id));
+            const OracleWaterfill want =
+                waterfillOracle(capacity, available, flows);
+            EXPECT_EQ(after.recomputes - before.recomputes, 1u);
+            EXPECT_EQ(after.picks - before.picks,
+                      static_cast<std::uint64_t>(want.picks))
+                << "trial " << trial << " round " << round;
+            for (size_t k = 0; k < order.size(); ++k) {
+                EXPECT_EQ(net.flowRate(order[k]), want.rates[k])
+                    << "trial " << trial << " round " << round
+                    << " flow " << order[k];
+                parked += want.rates[k] == 0.0 ? 1 : 0;
+            }
+            picks += want.picks;
+            tied_picks += want.tiedPicks;
+        }
+    }
+    // The sets must actually exercise cuts, exact ties and parking.
+    EXPECT_GT(picks, 3000);
+    EXPECT_GT(tied_picks, 300);
+    EXPECT_GT(parked, 300);
 }
 
 TEST(FunctionalProperties, RandomizedMeshSliceSweep)

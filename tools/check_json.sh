@@ -189,8 +189,8 @@ if [ -n "$micro_bin" ]; then
     # not a chip count; --smoke picks its own sizes.
     "$micro_bin" --smoke > micro_kernels.out
     check_file BENCH_kernels.json
-    # The sim_throughput section (parallel-simulation PR) must be
-    # present, with the bench's own identity/determinism checks true.
+    # The sim_throughput section must be present, with the bench's own
+    # identity/determinism checks true and sane waterfill counters.
     if "$python3" - BENCH_kernels.json <<'EOF'
 import json, sys
 
@@ -199,9 +199,20 @@ with open(sys.argv[1]) as fh:
 sim = doc.get("sim_throughput")
 if sim is None:
     sys.exit("BENCH_kernels.json: missing sim_throughput section")
-for key in ("batched", "eager", "identity_check", "candidates"):
+for key in ("batched", "eager", "identity_check", "candidates",
+            "waterfill"):
     if key not in sim:
         sys.exit("BENCH_kernels.json: sim_throughput missing %r" % key)
+# Waterfill work counters: the run must have recomputed rates, and
+# every pick is of a member summed at least once.
+wf = sim["waterfill"]
+if not wf.get("recomputes"):
+    sys.exit("BENCH_kernels.json: sim_throughput.waterfill.recomputes "
+             "is missing or 0")
+if wf.get("picks", 0) > wf.get("member_sums", 0):
+    sys.exit("BENCH_kernels.json: sim_throughput.waterfill picks (%s) "
+             "exceed member_sums (%s)"
+             % (wf.get("picks"), wf.get("member_sums")))
 checks = {
     "identical_time": sim["identity_check"].get("identical_time"),
     "identical_events": sim["identity_check"].get("identical_events"),
