@@ -3,8 +3,8 @@
  * Quickstart: the MeshSlice library in ~60 lines.
  *
  * 1. Verify the MeshSlice algorithm numerically: run the S-way sliced
- *    2D GeMM on real data over a 2x4 mesh and compare against a dense
- *    reference.
+ *    2D GeMM's schedule on real data over a 2x4 mesh (the functional
+ *    interpreter) and compare against a dense reference.
  * 2. Simulate the same GeMM at TPUv4-cluster scale and compare the
  *    five 2D algorithms' execution times.
  *
@@ -13,7 +13,6 @@
 #include <cstdio>
 
 #include "core/executor.hpp"
-#include "gemm/functional_gemm.hpp"
 
 using namespace meshslice;
 
@@ -28,7 +27,8 @@ main()
 
     DistMatrix da = DistMatrix::scatter(a, mesh_shape);
     DistMatrix db = DistMatrix::scatter(b, mesh_shape);
-    DistMatrix dc = funcMeshSliceOS(da, db, slice_count, block);
+    DistMatrix dc = runGemmFunctional(Algorithm::kMeshSlice, Dataflow::kOS,
+                                      da, db, slice_count, block);
 
     Matrix reference = Matrix::gemm(a, b);
     std::printf("MeshSlice OS on a %dx%d mesh, S=%d: max |diff| vs dense "

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <numeric>
 #include <string>
 
 #include "core/mesh_ops.hpp"
@@ -83,6 +82,41 @@ finishRunTelemetry(Cluster &cluster, const char *algo_name,
 }
 
 /**
+ * Start @p graph, drain the simulator and fill @p result's time and
+ * telemetry: the completion timestamp is the graph's, not the drain's
+ * (a fault window whose end boundary outlives the GeMM, or a death
+ * watch armed past it, must not inflate the reported step time).
+ */
+void
+drainGraph(Cluster &cluster, TaskGraph &graph, GemmRunResult &result,
+           const char *algo_name, const char *who)
+{
+    const double core_busy_before = sumCoreBusy(cluster);
+    const Time begin = cluster.sim().now();
+    Time end = begin;
+    bool finished = false;
+    graph.start([&finished, &end, &cluster] {
+        finished = true;
+        end = cluster.sim().now();
+    });
+    cluster.sim().run();
+    if (!finished) {
+        // A requested stop is a deliberate abandonment (the elastic
+        // runtime's fail-stop handler fired mid-schedule): hand back a
+        // partial result the caller will discard. Anything else is the
+        // historical invariant violation.
+        if (cluster.sim().stopRequested()) {
+            result.time = cluster.sim().now() - begin;
+            return;
+        }
+        panic("%s: schedule did not drain", who);
+    }
+    result.time = end - begin;
+    finishRunTelemetry(cluster, algo_name, result, core_busy_before,
+                       cluster.numChips());
+}
+
+/**
  * Per-schedule flow-event plumbing: input collectives deposit a flow
  * id as they complete; the next compute task consumes all pending ids,
  * drawing comm -> compute dependency arrows in Perfetto.
@@ -92,456 +126,7 @@ struct FlowLinks
     std::vector<std::uint64_t> pending;
 };
 
-/** One side of a sliced schedule. */
-struct Side
-{
-    Dir dir;
-    CollKind op;
-    Bytes shardPerIter; ///< AG/RdS per-chip shard bytes per iteration
-    Bytes payloadPerIter; ///< SUMMA per-ring payload bytes per iteration
-    int ringSize;
-};
-
-std::vector<Side>
-sidesOf(const Gemm2DSpec &spec)
-{
-    const FlowSide h = horizontalFlow(spec);
-    const FlowSide v = verticalFlow(spec);
-    const Bytes chips = spec.chips();
-    const std::int64_t s = spec.sliceCount;
-    return {
-        Side{Dir::kHorizontal, h.op, h.matrixBytes / (chips * s),
-             h.matrixBytes / (spec.rows * s), spec.cols},
-        Side{Dir::kVertical, v.op, v.matrixBytes / (chips * s),
-             v.matrixBytes / (spec.cols * s), spec.rows},
-    };
-}
-
-/**
- * Build the software-pipelined sliced schedule shared by MeshSlice and
- * Collective (S=1).
- */
-void
-buildSliced(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
-            GemmRunResult *state)
-{
-    const ChipConfig &cfg = mesh.cluster().config();
-    const bool overlap = cfg.allowCollectiveOverlap;
-    const int s_count = spec.sliceCount;
-    const GemmWork work = localSliceWork(spec);
-    const auto sides = sidesOf(spec);
-
-    // Flow arrows (Perfetto): each completed input collective deposits
-    // a flow id; the compute that consumes it closes the arrow.
-    auto links = std::make_shared<FlowLinks>();
-    const int chip0 = mesh.chipAt(0, 0);
-
-    auto comm_task = [&, links, chip0](const Side &side, int iter) {
-        (void)iter;
-        return [&mesh, side, state, links,
-                chip0](std::function<void()> done) {
-            Cluster &cl = mesh.cluster();
-            const bool is_input = side.op == CollKind::kAllGather;
-            auto wrapped = [&cl, links, chip0, side, is_input,
-                            done = std::move(done)] {
-                TraceRecorder &tr = cl.trace();
-                if (is_input && tr.enabled()) {
-                    const std::uint64_t id = tr.newFlowId();
-                    const int lane = side.dir == Dir::kHorizontal
-                                         ? kLaneHorizontalComm
-                                         : kLaneVerticalComm;
-                    // 1ns inside the comm span so the arrow binds to it.
-                    tr.recordFlow("feeds", "dep", id, chip0, lane,
-                                  cl.sim().now() - ns(1.0), true);
-                    links->pending.push_back(id);
-                }
-                done();
-            };
-            meshCollective(mesh, side.dir, side.op, side.shardPerIter,
-                           statsSink(state, side.dir, std::move(wrapped)));
-        };
-    };
-    auto gemm_task = [&mesh, work, links,
-                      chip0](std::function<void()> done) {
-        Cluster &cl = mesh.cluster();
-        TraceRecorder &tr = cl.trace();
-        if (tr.enabled() && !links->pending.empty()) {
-            for (std::uint64_t id : links->pending)
-                tr.recordFlow("feeds", "dep", id, chip0, kLaneCompute,
-                              cl.sim().now() + ns(1.0), false);
-            links->pending.clear();
-        }
-        meshGemm(mesh, work, std::move(done));
-    };
-
-    if (!overlap) {
-        // Real-TPUv4 mode: strict program order, no comm/compute overlap.
-        int prev = -1;
-        auto chain = [&](TaskGraph::TaskFn fn) {
-            prev = graph.addTask(std::move(fn),
-                                 prev < 0 ? std::vector<int>{}
-                                          : std::vector<int>{prev});
-        };
-        for (int s = 0; s < s_count; ++s) {
-            for (const Side &side : sides)
-                if (side.op == CollKind::kAllGather)
-                    chain(comm_task(side, s));
-            chain(gemm_task);
-            for (const Side &side : sides)
-                if (side.op == CollKind::kReduceScatter)
-                    chain(comm_task(side, s));
-        }
-        return;
-    }
-
-    // Pipelined schedule: per-direction comm chains; compute(s) waits
-    // for its input comms and the previous compute; output comms follow
-    // their compute, chained per direction.
-    int prev_pre[2] = {-1, -1};
-    int prev_post[2] = {-1, -1};
-    int prev_comp = -1;
-    for (int s = 0; s < s_count; ++s) {
-        std::vector<int> comp_deps;
-        if (prev_comp >= 0)
-            comp_deps.push_back(prev_comp);
-        for (size_t i = 0; i < sides.size(); ++i) {
-            if (sides[i].op != CollKind::kAllGather)
-                continue;
-            std::vector<int> deps;
-            if (prev_pre[i] >= 0)
-                deps.push_back(prev_pre[i]);
-            prev_pre[i] = graph.addTask(comm_task(sides[i], s), deps);
-            comp_deps.push_back(prev_pre[i]);
-        }
-        const int comp = graph.addTask(gemm_task, comp_deps);
-        prev_comp = comp;
-        for (size_t i = 0; i < sides.size(); ++i) {
-            if (sides[i].op != CollKind::kReduceScatter)
-                continue;
-            std::vector<int> deps{comp};
-            if (prev_post[i] >= 0)
-                deps.push_back(prev_post[i]);
-            prev_post[i] = graph.addTask(comm_task(sides[i], s), deps);
-        }
-    }
-}
-
-/**
- * SUMMA: the matrices are split into P x P shards (P a common multiple
- * of Pr and Pc, Sec 2.3.3), giving P communication iterations of
- * pipelined bcast/reduce per direction — the O(P^2) synchronization
- * cost. Loop unrolling (Sec 4.2) merges the *computation* into the
- * autotuned S groups but leaves the fine-grain communication in place.
- */
-void
-buildSumma(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
-           GemmRunResult *state)
-{
-    const ChipConfig &cfg = mesh.cluster().config();
-    const bool overlap = cfg.allowCollectiveOverlap;
-    const int p_iter =
-        static_cast<int>(std::lcm(spec.rows, spec.cols));
-    const int s_count = std::min(spec.sliceCount, p_iter);
-    Gemm2DSpec comp_spec = spec;
-    comp_spec.sliceCount = s_count;
-    const GemmWork work = localSliceWork(comp_spec);
-
-    // Per-direction, per-communication-iteration payload of one ring.
-    const FlowSide h = horizontalFlow(spec);
-    const FlowSide v = verticalFlow(spec);
-    struct SummaSide
-    {
-        Dir dir;
-        bool isReduce;
-        Bytes payload;
-        int ringSize;
-    };
-    const SummaSide sides[2] = {
-        {Dir::kHorizontal, h.op == CollKind::kReduceScatter,
-         h.matrixBytes / (static_cast<Bytes>(spec.rows) * p_iter),
-         spec.cols},
-        {Dir::kVertical, v.op == CollKind::kReduceScatter,
-         v.matrixBytes / (static_cast<Bytes>(spec.cols) * p_iter),
-         spec.rows},
-    };
-
-    auto comm_task = [&mesh, state](const SummaSide &side, int iter) {
-        return [&mesh, state, side, iter](std::function<void()> done) {
-            const ChipConfig &c = mesh.cluster().config();
-            const int hops = c.bidirectionalIci
-                                 ? std::max(1, side.ringSize / 2)
-                                 : side.ringSize - 1;
-            const int packets =
-                optimalPacketCount(c, hops, side.payload);
-            meshBroadcastReduce(mesh, side.dir, side.isReduce, iter,
-                                side.payload, packets,
-                                statsSink(state, side.dir,
-                                          std::move(done)));
-        };
-    };
-    auto gemm_task = [&mesh, work](std::function<void()> done) {
-        meshGemm(mesh, work, std::move(done));
-    };
-
-    // Comm iteration range feeding compute group g: [lo(g), hi(g)).
-    auto group_hi = [p_iter, s_count](int g) {
-        return (g + 1) * p_iter / s_count;
-    };
-
-    if (!overlap) {
-        int prev = -1;
-        auto chain = [&](TaskGraph::TaskFn fn) {
-            prev = graph.addTask(std::move(fn),
-                                 prev < 0 ? std::vector<int>{}
-                                          : std::vector<int>{prev});
-        };
-        int it_pre = 0;
-        int it_post = 0;
-        for (int g = 0; g < s_count; ++g) {
-            for (; it_pre < group_hi(g); ++it_pre)
-                for (const SummaSide &side : sides)
-                    if (!side.isReduce)
-                        chain(comm_task(side, it_pre));
-            chain(gemm_task);
-            for (; it_post < group_hi(g); ++it_post)
-                for (const SummaSide &side : sides)
-                    if (side.isReduce)
-                        chain(comm_task(side, it_post));
-        }
-        return;
-    }
-
-    // Pipelined: per-direction comm chains at p_iter granularity;
-    // compute group g waits for all its input comm iterations; reduce
-    // iteration it waits for the compute group that produced it.
-    int prev_comm[2] = {-1, -1};
-    std::vector<int> pre_last(static_cast<size_t>(p_iter), -1);
-    // Pre-communication chains (both directions advance independently).
-    for (int it = 0; it < p_iter; ++it) {
-        int last = -1;
-        for (int i = 0; i < 2; ++i) {
-            if (sides[i].isReduce)
-                continue;
-            std::vector<int> deps;
-            if (prev_comm[i] >= 0)
-                deps.push_back(prev_comm[i]);
-            prev_comm[i] = graph.addTask(comm_task(sides[i], it), deps);
-            last = prev_comm[i];
-        }
-        pre_last[static_cast<size_t>(it)] = last;
-    }
-    int prev_comp = -1;
-    std::vector<int> comp_of_group(static_cast<size_t>(s_count), -1);
-    for (int g = 0; g < s_count; ++g) {
-        std::vector<int> deps;
-        if (prev_comp >= 0)
-            deps.push_back(prev_comp);
-        // Depend on every pre-comm iteration of the group's range (the
-        // chains make the last of each direction sufficient, but both
-        // directions' last iterations matter).
-        const int hi = group_hi(g);
-        for (int it = (g == 0 ? 0 : group_hi(g - 1)); it < hi; ++it)
-            if (pre_last[static_cast<size_t>(it)] >= 0)
-                deps.push_back(pre_last[static_cast<size_t>(it)]);
-        prev_comp = graph.addTask(gemm_task, deps);
-        comp_of_group[static_cast<size_t>(g)] = prev_comp;
-    }
-    // Post (reduce) chains.
-    int prev_post[2] = {-1, -1};
-    for (int it = 0; it < p_iter; ++it) {
-        const int g = std::min(s_count - 1, it * s_count / p_iter);
-        for (int i = 0; i < 2; ++i) {
-            if (!sides[i].isReduce)
-                continue;
-            std::vector<int> deps{comp_of_group[static_cast<size_t>(g)]};
-            if (prev_post[i] >= 0)
-                deps.push_back(prev_post[i]);
-            prev_post[i] = graph.addTask(comm_task(sides[i], it), deps);
-        }
-    }
-}
-
-/** Wang: overlap the heavier direction via SendRecv rotations. */
-void
-buildWang(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
-          GemmRunResult *state)
-{
-    const ChipConfig &cfg = mesh.cluster().config();
-    const int s_count = spec.sliceCount;
-    const GemmWork work = localSliceWork(spec);
-    const auto sides = sidesOf(spec);
-
-    // Per-link traffic of each direction decides which one to overlap.
-    auto link_traffic = [](const Side &side) {
-        return static_cast<double>(side.shardPerIter) *
-               static_cast<double>(side.ringSize - 1);
-    };
-    const size_t ov = link_traffic(sides[0]) >= link_traffic(sides[1]) ? 0
-                                                                       : 1;
-    const Side &ov_side = sides[ov];
-    const Side &bl_side = sides[1 - ov];
-
-    // Per-iteration rotation bytes: the whole (P-1)/P fraction of the
-    // overlapped matrix split over S SendRecvs. With bidirectional ICI
-    // the rotation is split over both directions.
-    const Bytes iter_bytes = ov_side.shardPerIter * (ov_side.ringSize - 1);
-    const bool bidir = cfg.bidirectionalIci && ov_side.ringSize > 2;
-
-    auto shift_task = [&mesh, ov_side, iter_bytes, bidir, state](
-                          std::function<void()> done) {
-        if (bidir) {
-            // shared_ptr (not a raw new/delete pair): if the phase is
-            // abandoned mid-shift the Join is reclaimed by the abandon
-            // sweep, and destroying its callback must release the
-            // half-merged stats too.
-            auto merged = std::make_shared<CommStats>();
-            CommDone sink = statsSink(state, ov_side.dir, std::move(done));
-            Join *join = Join::create(2, [merged, sink] {
-                sink(*merged);
-            });
-            auto half_done = [merged, join](const CommStats &stats) {
-                merged->mergeParallel(stats);
-                join->signal();
-            };
-            meshShift(mesh, ov_side.dir, iter_bytes / 2, true, half_done);
-            meshShift(mesh, ov_side.dir, iter_bytes - iter_bytes / 2, false,
-                      half_done);
-        } else {
-            meshShift(mesh, ov_side.dir, iter_bytes, true,
-                      statsSink(state, ov_side.dir, std::move(done)));
-        }
-    };
-    auto gemm_task = [&mesh, work](std::function<void()> done) {
-        meshGemm(mesh, work, std::move(done));
-    };
-    // Blocking side: one full (unsliced) collective.
-    auto blocking_task = [&mesh, bl_side, s_count, state](
-                             std::function<void()> done) {
-        meshCollective(mesh, bl_side.dir, bl_side.op,
-                       bl_side.shardPerIter * s_count,
-                       statsSink(state, bl_side.dir, std::move(done)));
-    };
-
-    const bool ov_is_ag = ov_side.op == CollKind::kAllGather;
-    const bool bl_is_ag = bl_side.op == CollKind::kAllGather;
-    const bool overlap = cfg.allowSendRecvOverlap;
-
-    int prologue = -1;
-    if (bl_is_ag)
-        prologue = graph.addTask(blocking_task);
-
-    auto with_prologue = [prologue](std::vector<int> deps) {
-        if (prologue >= 0)
-            deps.push_back(prologue);
-        return deps;
-    };
-
-    int prev_shift = -1;
-    int prev_comp = -1;
-    for (int s = 0; s < s_count; ++s) {
-        if (ov_is_ag) {
-            // shift feeds compute
-            std::vector<int> sdeps;
-            if (prev_shift >= 0)
-                sdeps.push_back(prev_shift);
-            // XLA-artifact mode: the shift additionally waits for the
-            // previous compute, serializing the pipeline (Sec 5.3.1).
-            if (!overlap && prev_comp >= 0)
-                sdeps.push_back(prev_comp);
-            prev_shift = graph.addTask(shift_task, with_prologue(sdeps));
-            std::vector<int> cdeps{prev_shift};
-            if (prev_comp >= 0)
-                cdeps.push_back(prev_comp);
-            prev_comp = graph.addTask(gemm_task, cdeps);
-        } else {
-            // compute feeds shift (RdS decomposition)
-            std::vector<int> cdeps;
-            if (prev_comp >= 0)
-                cdeps.push_back(prev_comp);
-            prev_comp = graph.addTask(gemm_task, with_prologue(cdeps));
-            std::vector<int> sdeps{prev_comp};
-            if (prev_shift >= 0)
-                sdeps.push_back(prev_shift);
-            prev_shift = graph.addTask(shift_task, sdeps);
-            if (!overlap)
-                prev_comp = prev_shift; // next compute waits the shift
-        }
-    }
-    if (!bl_is_ag) {
-        // Blocking ReduceScatter epilogue after the last compute.
-        graph.addTask(blocking_task, {prev_comp});
-    }
-}
-
-/** Cannon: square mesh, skew prologue, P systolic iterations. */
-void
-buildCannon(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
-            GemmRunResult *state)
-{
-    if (spec.rows != spec.cols)
-        panic("Cannon requires a square mesh, got %dx%d", spec.rows,
-              spec.cols);
-    const int p = spec.rows;
-    const Bytes e = spec.bytesPerElement;
-    const Bytes chips = spec.chips();
-    const Bytes shard_a = spec.m * spec.k * e / chips;
-    const Bytes shard_b = spec.k * spec.n * e / chips;
-    const GemmWork work{spec.m / p, spec.k / p, spec.n / p};
-
-    auto shift_task = [&mesh, state](Dir dir, Bytes bytes) {
-        return [&mesh, state, dir, bytes](std::function<void()> done) {
-            meshShift(mesh, dir, bytes, true,
-                      statsSink(state, dir, std::move(done)));
-        };
-    };
-    auto gemm_task = [&mesh, work](std::function<void()> done) {
-        meshGemm(mesh, work, std::move(done));
-    };
-
-    // Skew: row i shifts A by i hops, column j shifts B by j hops. With
-    // wraparound the worst chip moves floor(P/2) hops; modelled as that
-    // many sequential full-shard rotations in each direction.
-    int prev_h = -1;
-    int prev_v = -1;
-    for (int h = 0; h < p / 2; ++h) {
-        prev_h = graph.addTask(shift_task(Dir::kHorizontal, shard_a),
-                               prev_h < 0 ? std::vector<int>{}
-                                          : std::vector<int>{prev_h});
-        prev_v = graph.addTask(shift_task(Dir::kVertical, shard_b),
-                               prev_v < 0 ? std::vector<int>{}
-                                          : std::vector<int>{prev_v});
-    }
-
-    int prev_comp = -1;
-    for (int s = 0; s < p; ++s) {
-        std::vector<int> cdeps;
-        if (prev_comp >= 0)
-            cdeps.push_back(prev_comp);
-        if (prev_h >= 0)
-            cdeps.push_back(prev_h);
-        if (prev_v >= 0)
-            cdeps.push_back(prev_v);
-        prev_comp = graph.addTask(gemm_task, cdeps);
-        if (s + 1 < p) {
-            prev_h = graph.addTask(shift_task(Dir::kHorizontal, shard_a),
-                                   prev_h < 0 ? std::vector<int>{}
-                                              : std::vector<int>{prev_h});
-            prev_v = graph.addTask(shift_task(Dir::kVertical, shard_b),
-                                   prev_v < 0 ? std::vector<int>{}
-                                              : std::vector<int>{prev_v});
-        }
-    }
-}
-
-// --------------------------------------------------------------------
-// OneSided (Brock & Golin): stationary-C tiles pull their A/B slices
-// via async RDMA gets. No mesh-wide task exists anywhere — the
-// schedule is rows*cols independent per-tile chains (gets(s) ->
-// compute(s)), so a straggling or killed chip delays only the tiles
-// whose gets read from it.
-// --------------------------------------------------------------------
-
-/** Per-chip schedule state of one OneSided run. */
+/** Per-chip state of one OneSided run. */
 struct OneSidedChip
 {
     /** Fail-stop detected on this chip: its remaining tasks complete
@@ -563,207 +148,331 @@ struct OneSidedState
     std::vector<OneSidedChip> chips;
 };
 
+/**
+ * Per-chip fail-stop watch (armed only when the fault scenario has
+ * kills, so kill-free runs schedule nothing extra): when a chip dies,
+ * cancel its in-flight compute and complete its pending task so the
+ * rest of the graph keeps draining. Gets *from* the corpse retry over a
+ * detour, gets *into* it are written off — both inside OneSidedComm.
+ */
 void
-buildOneSided(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
-              GemmRunResult *state)
+armKillWatch(TorusMesh &mesh, const std::shared_ptr<OneSidedState> &st)
 {
-    if (spec.dataflow != Dataflow::kOS)
-        panic("OneSided pulls into a stationary C tile: dataflow must "
-              "be OS, got %s", dataflowName(spec.dataflow));
     Cluster &cluster = mesh.cluster();
-    const bool overlap = cluster.config().allowSendRecvOverlap;
-    const int rows = spec.rows;
-    const int cols = spec.cols;
-    const int s_count = spec.sliceCount;
-    const GemmWork work = localSliceWork(spec);
-    const auto sides = sidesOf(spec);
-    const Bytes h_shard = sides[0].shardPerIter;
-    const Bytes v_shard = sides[1].shardPerIter;
-
-    auto st = std::make_shared<OneSidedState>(mesh);
-    st->chips.resize(static_cast<size_t>(rows) * cols);
-
-    // Per-chip fail-stop watch (guarded by hasKills, so kill-free runs
-    // schedule nothing extra): when a chip dies, cancel its in-flight
-    // compute and complete its pending task so the rest of the graph
-    // keeps draining. Gets *from* the corpse retry over a detour, gets
-    // *into* it are written off — both inside OneSidedComm.
-    if (FaultInjector *inj = cluster.faults();
-        inj != nullptr && inj->hasKills()) {
-        for (int r = 0; r < rows; ++r) {
-            for (int c = 0; c < cols; ++c) {
-                const int chip = mesh.chipAt(r, c);
-                const size_t idx = static_cast<size_t>(r) * cols + c;
-                const Time kill = inj->earliestKillAfter(
-                    cluster.sim().now(),
-                    {cluster.coreOf(chip), cluster.hbmOf(chip)});
-                if (kill < 0.0)
-                    continue;
-                cluster.sim().schedule(
-                    kill + inj->detectionLatency(),
-                    [st, &cluster, inj, chip, idx] {
-                        OneSidedChip &cs = st->chips[idx];
-                        cs.dead = true;
-                        // Broadcast HBM deaths to the membership cache
-                        // so later gets skip their own detection window
-                        // (a core-only kill leaves the HBM readable).
-                        if (inj->isKilled(cluster.hbmOf(chip)))
-                            st->comm.markDead(chip);
-                        if (cs.compute >= 0) {
-                            cluster.net().cancelFlow(cs.compute);
-                            cs.compute = -1;
-                        }
-                        if (cluster.stats().enabled())
-                            cluster.stats().add("onesided/chip_writeoff",
-                                                1.0);
-                        if (cs.computeDone) {
-                            auto done = std::move(cs.computeDone);
-                            cs.computeDone = nullptr;
-                            done();
-                        }
-                    });
-            }
-        }
-    }
-
-    // Get batch of one (chip, slice): a single host launch posts the
-    // (cols-1) row gets and (rows-1) col gets; all pull concurrently
-    // (contending at this chip's NIC queue) and a join fires the task's
-    // completion when the last one lands.
-    auto get_task = [st, &mesh, rows, cols, h_shard, v_shard](int r,
-                                                              int c) {
-        return [st, &mesh, rows, cols, h_shard, v_shard, r,
-                c](std::function<void()> done) {
-            Cluster &cl = mesh.cluster();
-            const size_t idx = static_cast<size_t>(r) * cols + c;
-            const int count = (cols - 1) + (rows - 1);
-            if (st->chips[idx].dead || count == 0) {
-                cl.sim().scheduleAfter(0.0, std::move(done));
-                return;
-            }
-            const int chip = mesh.chipAt(r, c);
-            Time launch = cl.config().launchOverhead;
-            if (FaultInjector *inj = cl.faults())
-                launch += inj->nextLaunchJitter();
-            SpanRecorder &prof = cl.profiler();
-            const bool profe = prof.enabled();
-            const int ptask = profe ? prof.currentTask() : -1;
-            std::vector<int> pdeps;
-            if (profe)
-                pdeps = prof.ambientDeps();
-            const Time begin = cl.sim().now();
-            cl.sim().scheduleAfter(
-                launch,
-                [st, &mesh, rows, cols, h_shard, v_shard, r, c, chip, idx,
-                 count, launch, begin, profe, ptask,
-                 pdeps = std::move(pdeps),
-                 done = std::move(done)]() mutable {
-                    Cluster &cl = mesh.cluster();
-                    int launch_node = -1;
-                    if (profe)
-                        launch_node = cl.profiler().addNode(
-                            strprintf("getbatch c%d launch", chip),
-                            SpanCategory::kLaunch, begin, cl.sim().now(),
-                            std::move(pdeps), chip);
-                    // Parallel-merge the batch's gets per direction,
-                    // then fold into the chip's running totals.
-                    auto acc = std::make_shared<std::array<CommStats, 2>>();
-                    Join *join = Join::create(
-                        count, [st, idx, acc, launch,
-                                done = std::move(done)]() mutable {
-                            OneSidedChip &cs = st->chips[idx];
-                            CommStats h = (*acc)[0];
-                            h.launch = launch;
-                            h.total += launch;
-                            cs.h += h;
-                            cs.v += (*acc)[1];
-                            done();
-                        });
-                    const bool chain = profe && launch_node >= 0;
-                    if (chain)
-                        cl.profiler().beginChain(ptask, {launch_node});
-                    for (int cc = 0; cc < cols; ++cc) {
-                        if (cc == c)
-                            continue;
-                        st->comm.get(GetAxis::kRow, r, c, r, cc, h_shard,
-                                     kLaneHorizontalComm,
-                                     [acc, join](const CommStats &s) {
-                                         (*acc)[0].mergeParallel(s);
-                                         join->signal();
-                                     });
-                    }
-                    for (int rr = 0; rr < rows; ++rr) {
-                        if (rr == r)
-                            continue;
-                        st->comm.get(GetAxis::kCol, r, c, rr, c, v_shard,
-                                     kLaneVerticalComm,
-                                     [acc, join](const CommStats &s) {
-                                         (*acc)[1].mergeParallel(s);
-                                         join->signal();
-                                     });
-                    }
-                    if (chain)
-                        cl.profiler().endChain();
-                });
-        };
-    };
-
-    auto comp_task = [st, &mesh, cols, work](int r, int c) {
-        return [st, &mesh, cols, work, r, c](std::function<void()> done) {
-            Cluster &cl = mesh.cluster();
-            const size_t idx = static_cast<size_t>(r) * cols + c;
-            OneSidedChip &cs = st->chips[idx];
-            if (cs.dead) {
-                cl.sim().scheduleAfter(0.0, std::move(done));
-                return;
-            }
-            cs.computeDone = std::move(done);
-            cs.compute = cl.runGemm(mesh.chipAt(r, c), work, [st, idx] {
-                OneSidedChip &cs2 = st->chips[idx];
-                cs2.compute = -1;
-                if (cs2.computeDone) {
-                    auto d = std::move(cs2.computeDone);
-                    cs2.computeDone = nullptr;
-                    d();
+    FaultInjector *inj = cluster.faults();
+    if (inj == nullptr || !inj->hasKills())
+        return;
+    for (int idx = 0; idx < static_cast<int>(st->chips.size()); ++idx) {
+        const int chip = mesh.chipAt(idx / mesh.cols(), idx % mesh.cols());
+        const Time kill = inj->earliestKillAfter(
+            cluster.sim().now(), {cluster.coreOf(chip), cluster.hbmOf(chip)});
+        if (kill < 0.0)
+            continue;
+        cluster.sim().schedule(
+            kill + inj->detectionLatency(), [st, &cluster, inj, chip, idx] {
+                OneSidedChip &cs = st->chips[static_cast<size_t>(idx)];
+                cs.dead = true;
+                // Broadcast HBM deaths to the membership cache so later
+                // gets skip their own detection window (a core-only
+                // kill leaves the HBM readable).
+                if (inj->isKilled(cluster.hbmOf(chip)))
+                    st->comm.markDead(chip);
+                if (cs.compute >= 0) {
+                    cluster.net().cancelFlow(cs.compute);
+                    cs.compute = -1;
+                }
+                if (cluster.stats().enabled())
+                    cluster.stats().add("onesided/chip_writeoff", 1.0);
+                if (cs.computeDone) {
+                    auto done = std::move(cs.computeDone);
+                    cs.computeDone = nullptr;
+                    done();
                 }
             });
-        };
-    };
-
-    // Per-tile chains: gets(s) -> compute(s), with gets(s+1) pipelined
-    // over compute(s) unless SendRecv-style overlap is disabled (the
-    // real-TPUv4 mode serializes RDMA behind the consuming compute).
-    std::vector<int> prev_get(st->chips.size(), -1);
-    std::vector<int> prev_comp(st->chips.size(), -1);
-    for (int s = 0; s < s_count; ++s) {
-        for (int r = 0; r < rows; ++r) {
-            for (int c = 0; c < cols; ++c) {
-                const size_t idx = static_cast<size_t>(r) * cols + c;
-                std::vector<int> gdeps;
-                if (prev_get[idx] >= 0)
-                    gdeps.push_back(prev_get[idx]);
-                if (!overlap && prev_comp[idx] >= 0)
-                    gdeps.push_back(prev_comp[idx]);
-                prev_get[idx] = graph.addTask(get_task(r, c), gdeps);
-                std::vector<int> cdeps{prev_get[idx]};
-                if (prev_comp[idx] >= 0)
-                    cdeps.push_back(prev_comp[idx]);
-                prev_comp[idx] = graph.addTask(comp_task(r, c), cdeps);
-            }
-        }
     }
+}
 
-    // Collector: chips ran concurrently, so the run-level stats are the
-    // parallel merge (component-wise max) of the per-chip sums — the
-    // same convention as concurrent rings in the collective executors.
-    // Costs nothing: it depends on tasks the graph waits for anyway.
+/**
+ * OneSided get batch of one (tile, slice): a single host launch posts
+ * the (cols-1) row gets and (rows-1) col gets; all pull concurrently
+ * (contending at this chip's NIC queue) and a join fires the task's
+ * completion when the last one lands.
+ */
+TaskGraph::TaskFn
+getBatchTask(TorusMesh &mesh, std::shared_ptr<OneSidedState> st,
+             const GemmStep &step)
+{
+    const int rows = mesh.rows();
+    const int cols = mesh.cols();
+    const int r = step.tile / cols;
+    const int c = step.tile % cols;
+    const size_t idx = static_cast<size_t>(step.tile);
+    const Bytes h_shard = step.bytes;
+    const Bytes v_shard = step.colBytes;
+    return [st, &mesh, rows, cols, h_shard, v_shard, r, c,
+            idx](std::function<void()> done) {
+        Cluster &cl = mesh.cluster();
+        const int count = (cols - 1) + (rows - 1);
+        if (st->chips[idx].dead || count == 0) {
+            cl.sim().scheduleAfter(0.0, std::move(done));
+            return;
+        }
+        const int chip = mesh.chipAt(r, c);
+        Time launch = cl.config().launchOverhead;
+        if (FaultInjector *inj = cl.faults())
+            launch += inj->nextLaunchJitter();
+        SpanRecorder &prof = cl.profiler();
+        const bool profe = prof.enabled();
+        const int ptask = profe ? prof.currentTask() : -1;
+        std::vector<int> pdeps;
+        if (profe)
+            pdeps = prof.ambientDeps();
+        const Time begin = cl.sim().now();
+        cl.sim().scheduleAfter(
+            launch, [st, &mesh, rows, cols, h_shard, v_shard, r, c, chip,
+                     idx, count, launch, begin, profe, ptask,
+                     pdeps = std::move(pdeps),
+                     done = std::move(done)]() mutable {
+                Cluster &cl = mesh.cluster();
+                int launch_node = -1;
+                if (profe)
+                    launch_node = cl.profiler().addNode(
+                        strprintf("getbatch c%d launch", chip),
+                        SpanCategory::kLaunch, begin, cl.sim().now(),
+                        std::move(pdeps), chip);
+                // Parallel-merge the batch's gets per direction, then
+                // fold into the chip's running totals.
+                auto acc = std::make_shared<std::array<CommStats, 2>>();
+                Join *join = Join::create(
+                    count, [st, idx, acc, launch,
+                            done = std::move(done)]() mutable {
+                        OneSidedChip &cs = st->chips[idx];
+                        CommStats h = (*acc)[0];
+                        h.launch = launch;
+                        h.total += launch;
+                        cs.h += h;
+                        cs.v += (*acc)[1];
+                        done();
+                    });
+                const bool chain = profe && launch_node >= 0;
+                if (chain)
+                    cl.profiler().beginChain(ptask, {launch_node});
+                for (int cc = 0; cc < cols; ++cc) {
+                    if (cc == c)
+                        continue;
+                    st->comm.get(GetAxis::kRow, r, c, r, cc, h_shard,
+                                 kLaneHorizontalComm,
+                                 [acc, join](const CommStats &s) {
+                                     (*acc)[0].mergeParallel(s);
+                                     join->signal();
+                                 });
+                }
+                for (int rr = 0; rr < rows; ++rr) {
+                    if (rr == r)
+                        continue;
+                    st->comm.get(GetAxis::kCol, r, c, rr, c, v_shard,
+                                 kLaneVerticalComm,
+                                 [acc, join](const CommStats &s) {
+                                     (*acc)[1].mergeParallel(s);
+                                     join->signal();
+                                 });
+                }
+                if (chain)
+                    cl.profiler().endChain();
+            });
+    };
+}
+
+/** OneSided compute of one tile: completes vacuously on a dead chip. */
+TaskGraph::TaskFn
+tileGemmTask(TorusMesh &mesh, std::shared_ptr<OneSidedState> st,
+             const GemmWork &work, int tile)
+{
+    const size_t idx = static_cast<size_t>(tile);
+    return [st, &mesh, work, idx](std::function<void()> done) {
+        Cluster &cl = mesh.cluster();
+        OneSidedChip &cs = st->chips[idx];
+        if (cs.dead) {
+            cl.sim().scheduleAfter(0.0, std::move(done));
+            return;
+        }
+        cs.computeDone = std::move(done);
+        const int chip = mesh.chipAt(static_cast<int>(idx) / mesh.cols(),
+                                     static_cast<int>(idx) % mesh.cols());
+        cs.compute = cl.runGemm(chip, work, [st, idx] {
+            OneSidedChip &cs2 = st->chips[idx];
+            cs2.compute = -1;
+            if (cs2.computeDone) {
+                auto d = std::move(cs2.computeDone);
+                cs2.computeDone = nullptr;
+                d();
+            }
+        });
+    };
+}
+
+/** One rotation of @p bytes in the given direction (forward or not). */
+using ShiftFn = std::function<void(Bytes bytes, bool forward, CommDone)>;
+
+/**
+ * A shift of @p bytes, split into two halves in opposite directions
+ * when @p bidir; @p sink receives the parallel-merged stats.
+ */
+void
+splitShift(Bytes bytes, bool bidir, CommDone sink, const ShiftFn &shift)
+{
+    if (!bidir) {
+        shift(bytes, true, std::move(sink));
+        return;
+    }
+    // shared_ptr (not a raw new/delete pair): if the phase is abandoned
+    // mid-shift the Join is reclaimed by the abandon sweep, and
+    // destroying its callback must release the half-merged stats too.
+    auto merged = std::make_shared<CommStats>();
+    Join *join = Join::create(2, [merged, sink] { sink(*merged); });
+    auto half_done = [merged, join](const CommStats &stats) {
+        merged->mergeParallel(stats);
+        join->signal();
+    };
+    shift(bytes / 2, true, half_done);
+    shift(bytes - bytes / 2, false, half_done);
+}
+
+/** Timed interpreter: the simulated task for one schedule step. */
+TaskGraph::TaskFn
+timedTask(TorusMesh &mesh, const GemmSchedule &sched, const GemmStep &step,
+          GemmRunResult *state, const std::shared_ptr<FlowLinks> &links,
+          const std::shared_ptr<OneSidedState> &onesided)
+{
+    const int chip0 = mesh.chipAt(0, 0);
+    const Dir dir = step.dir;
+    const Bytes bytes = step.bytes;
+    switch (step.kind) {
+      case StepKind::kCollective: {
+        const CollKind op = step.op;
+        // Only MeshSlice and Collective draw AG -> GeMM flow arrows.
+        const bool arrows = sched.algo == Algorithm::kMeshSlice ||
+                            sched.algo == Algorithm::kCollective;
+        if (!arrows || op != CollKind::kAllGather)
+            return [&mesh, state, dir, op, bytes](std::function<void()> done) {
+                meshCollective(mesh, dir, op, bytes,
+                               statsSink(state, dir, std::move(done)));
+            };
+        // Each completed input collective deposits a flow id; the
+        // compute that consumes it closes the arrow.
+        return [&mesh, state, dir, bytes, links,
+                chip0](std::function<void()> done) {
+            Cluster &cl = mesh.cluster();
+            auto wrapped = [&cl, links, chip0, dir, done = std::move(done)] {
+                TraceRecorder &tr = cl.trace();
+                if (tr.enabled()) {
+                    const std::uint64_t id = tr.newFlowId();
+                    const int lane = dir == Dir::kHorizontal
+                                         ? kLaneHorizontalComm
+                                         : kLaneVerticalComm;
+                    // 1ns inside the comm span so the arrow binds to it.
+                    tr.recordFlow("feeds", "dep", id, chip0, lane,
+                                  cl.sim().now() - ns(1.0), true);
+                    links->pending.push_back(id);
+                }
+                done();
+            };
+            meshCollective(mesh, dir, CollKind::kAllGather, bytes,
+                           statsSink(state, dir, std::move(wrapped)));
+        };
+      }
+      case StepKind::kPanel: {
+        const bool is_reduce = step.op == CollKind::kReduceScatter;
+        const int iter = step.lo;
+        const int ring = dir == Dir::kHorizontal ? mesh.cols() : mesh.rows();
+        return [&mesh, state, dir, is_reduce, iter, bytes,
+                ring](std::function<void()> done) {
+            const ChipConfig &c = mesh.cluster().config();
+            const int hops =
+                c.bidirectionalIci ? std::max(1, ring / 2) : ring - 1;
+            meshBroadcastReduce(mesh, dir, is_reduce, iter, bytes,
+                                optimalPacketCount(c, hops, bytes),
+                                statsSink(state, dir, std::move(done)));
+        };
+      }
+      case StepKind::kShift:
+        return [&mesh, state, dir, bytes,
+                bidir = step.bidir](std::function<void()> done) {
+            splitShift(bytes, bidir, statsSink(state, dir, std::move(done)),
+                       [&mesh, dir](Bytes b, bool fwd, CommDone d) {
+                           meshShift(mesh, dir, b, fwd, std::move(d));
+                       });
+        };
+      case StepKind::kGetBatch:
+        return getBatchTask(mesh, onesided, step);
+      case StepKind::kGemm:
+        break;
+    }
+    if (step.tile >= 0)
+        return tileGemmTask(mesh, onesided, sched.work, step.tile);
+    // Closes the arrows of the input collectives before it (none unless
+    // the schedule draws them).
+    return [&mesh, work = sched.work, links,
+            chip0](std::function<void()> done) {
+        Cluster &cl = mesh.cluster();
+        TraceRecorder &tr = cl.trace();
+        if (tr.enabled() && !links->pending.empty()) {
+            for (std::uint64_t id : links->pending)
+                tr.recordFlow("feeds", "dep", id, chip0, kLaneCompute,
+                              cl.sim().now() + ns(1.0), false);
+            links->pending.clear();
+        }
+        meshGemm(mesh, work, std::move(done));
+    };
+}
+
+/**
+ * Timed interpreter: append @p sched's steps to @p graph as simulated
+ * tasks, in step order with the step dependencies, and count the
+ * FLOPs into @p state. OneSided schedules also get the per-chip kill
+ * watch and a final collector that merges the per-chip get stats
+ * (component-wise max, the convention for concurrent rings); it
+ * depends only on tasks the graph waits for anyway.
+ */
+void
+lowerTimed(TaskGraph &graph, TorusMesh &mesh, const GemmSchedule &sched,
+           GemmRunResult *state)
+{
+    const Gemm2DSpec &spec = sched.spec;
+    if (spec.rows != mesh.rows() || spec.cols != mesh.cols())
+        panic("buildGemmSchedule: spec mesh %dx%d != topology %dx%d",
+              spec.rows, spec.cols, mesh.rows(), mesh.cols());
+    state->flops += spec.totalFlops();
+    auto links = std::make_shared<FlowLinks>();
+    std::shared_ptr<OneSidedState> onesided;
+    if (sched.algo == Algorithm::kOneSided) {
+        onesided = std::make_shared<OneSidedState>(mesh);
+        onesided->chips.resize(static_cast<size_t>(spec.chips()));
+        armKillWatch(mesh, onesided);
+    }
+    std::vector<int> ids;
+    ids.reserve(sched.steps.size());
+    std::vector<int> last_of_tile(static_cast<size_t>(spec.chips()), -1);
+    for (const GemmStep &step : sched.steps) {
+        std::vector<int> deps;
+        deps.reserve(step.deps.size());
+        for (int d : step.deps)
+            deps.push_back(ids[static_cast<size_t>(d)]);
+        ids.push_back(graph.addTask(
+            timedTask(mesh, sched, step, state, links, onesided),
+            std::move(deps)));
+        if (step.kind == StepKind::kGemm && step.tile >= 0)
+            last_of_tile[static_cast<size_t>(step.tile)] = ids.back();
+    }
+    if (!onesided)
+        return;
     std::vector<int> finals;
-    for (int t : prev_comp)
+    for (int t : last_of_tile)
         if (t >= 0)
             finals.push_back(t);
     graph.addTask(
-        [st, state](std::function<void()> done) {
-            for (const OneSidedChip &cs : st->chips) {
+        [onesided, state](std::function<void()> done) {
+            for (const OneSidedChip &cs : onesided->chips) {
                 state->horizontal.mergeParallel(cs.h);
                 state->vertical.mergeParallel(cs.v);
             }
@@ -778,35 +487,9 @@ void
 buildGemmSchedule(TaskGraph &graph, TorusMesh &mesh, Algorithm algo,
                   const Gemm2DSpec &spec, GemmRunResult *accum)
 {
-    if (spec.rows != mesh.rows() || spec.cols != mesh.cols())
-        panic("buildGemmSchedule: spec mesh %dx%d != topology %dx%d",
-              spec.rows, spec.cols, mesh.rows(), mesh.cols());
-    accum->flops += spec.totalFlops();
-    Gemm2DSpec eff = spec;
-    switch (algo) {
-      case Algorithm::kMeshSlice:
-        buildSliced(graph, mesh, eff, accum);
-        break;
-      case Algorithm::kCollective:
-        eff.sliceCount = 1;
-        buildSliced(graph, mesh, eff, accum);
-        break;
-      case Algorithm::kSumma:
-        buildSumma(graph, mesh, eff, accum);
-        break;
-      case Algorithm::kWang:
-        buildWang(graph, mesh, eff, accum);
-        break;
-      case Algorithm::kCannon:
-        buildCannon(graph, mesh, eff, accum);
-        break;
-      case Algorithm::kOneSided:
-        buildOneSided(graph, mesh, eff, accum);
-        break;
-      default:
-        panic("buildGemmSchedule: %s is not a 2D algorithm",
-              algorithmName(algo));
-    }
+    lowerTimed(graph, mesh,
+               makeGemmSchedule(algo, spec, mesh.cluster().config()),
+               accum);
 }
 
 GemmRunResult
@@ -819,38 +502,18 @@ GemmExecutor::run(Algorithm algo, const Gemm2DSpec &spec)
     if (algo != Algorithm::kMeshSlice && algo != Algorithm::kOneSided)
         checked.sliceCount = 1;
     validateSpec(checked);
+    return run(makeGemmSchedule(algo, spec, mesh_.cluster().config()));
+}
+
+GemmRunResult
+GemmExecutor::run(const GemmSchedule &sched)
+{
     Cluster &cluster = mesh_.cluster();
     GemmRunResult result;
-    bool finished = false;
-
     TaskGraph graph(cluster.sim(), &cluster.profiler());
-    buildGemmSchedule(graph, mesh_, algo, spec, &result);
-
-    const double core_busy_before = sumCoreBusy(cluster);
-    const Time begin = cluster.sim().now();
-    // Timestamp the *graph's* completion, not the simulator's drain:
-    // a fault window whose end boundary outlives the GeMM (or a death
-    // watch armed past it) must not inflate the reported step time.
-    Time end = begin;
-    graph.start([&finished, &end, &cluster] {
-        finished = true;
-        end = cluster.sim().now();
-    });
-    cluster.sim().run();
-    if (!finished) {
-        // A requested stop is a deliberate abandonment (the elastic
-        // runtime's fail-stop handler fired mid-schedule): hand back a
-        // partial result the caller will discard. Anything else is the
-        // historical invariant violation.
-        if (cluster.sim().stopRequested()) {
-            result.time = cluster.sim().now() - begin;
-            return result;
-        }
-        panic("GemmExecutor: schedule did not drain");
-    }
-    result.time = end - begin;
-    finishRunTelemetry(cluster, algorithmName(algo), result,
-                       core_busy_before, cluster.numChips());
+    lowerTimed(graph, mesh_, sched, &result);
+    drainGraph(cluster, graph, result, algorithmName(sched.algo),
+               "GemmExecutor");
     return result;
 }
 
@@ -866,7 +529,6 @@ runGemm1D(RingNetwork &net, const Gemm1DSpec &spec, Algorithm algo)
               cluster.numChips());
 
     GemmRunResult result;
-    bool finished = false;
     result.flops = spec.totalFlops();
     // The 1D baselines also overlap via SendRecv rotations, so the
     // XLA-artifact mode (Sec 5.3.1) serializes them too.
@@ -886,29 +548,14 @@ runGemm1D(RingNetwork &net, const Gemm1DSpec &spec, Algorithm algo)
     const bool bidir = cfg.bidirectionalIci && chips > 2;
     const Ring &ring = net.ring();
 
-    auto shift_task = [&cluster, &ring, iter_bytes, bidir, &result](
-                          std::function<void()> done) {
-        CommDone sink =
-            statsSink(&result, Dir::kHorizontal, std::move(done));
-        if (bidir) {
-            // shared_ptr for the same abandonment-safety reason as the
-            // 2D shift task above.
-            auto merged = std::make_shared<CommStats>();
-            Join *join = Join::create(2, [merged, sink] {
-                sink(*merged);
-            });
-            auto half_done = [merged, join](const CommStats &stats) {
-                merged->mergeParallel(stats);
-                join->signal();
-            };
-            ringShift(cluster, ring, iter_bytes / 2, true,
-                      kLaneHorizontalComm, half_done);
-            ringShift(cluster, ring, iter_bytes - iter_bytes / 2, false,
-                      kLaneHorizontalComm, half_done);
-        } else {
-            ringShift(cluster, ring, iter_bytes, true, kLaneHorizontalComm,
-                      sink);
-        }
+    auto shift_task = [&cluster, &ring, iter_bytes, bidir,
+                       &result](std::function<void()> done) {
+        splitShift(iter_bytes, bidir,
+                   statsSink(&result, Dir::kHorizontal, std::move(done)),
+                   [&cluster, &ring](Bytes b, bool fwd, CommDone d) {
+                       ringShift(cluster, ring, b, fwd, kLaneHorizontalComm,
+                                 std::move(d));
+                   });
     };
     auto gemm_task = [&net, work](std::function<void()> done) {
         ringNetGemm(net, work, std::move(done));
@@ -943,27 +590,7 @@ runGemm1D(RingNetwork &net, const Gemm1DSpec &spec, Algorithm algo)
         }
     }
 
-    const double core_busy_before = sumCoreBusy(cluster);
-    const Time begin = cluster.sim().now();
-    // As in GemmExecutor::run: the graph's completion time, not the
-    // simulator's drain time (fault-window boundaries may outlive it).
-    Time end = begin;
-    graph.start([&finished, &end, &cluster] {
-        finished = true;
-        end = cluster.sim().now();
-    });
-    cluster.sim().run();
-    if (!finished) {
-        // Same abandonment escape as GemmExecutor::run.
-        if (cluster.sim().stopRequested()) {
-            result.time = cluster.sim().now() - begin;
-            return result;
-        }
-        panic("runGemm1D: schedule did not drain");
-    }
-    result.time = end - begin;
-    finishRunTelemetry(cluster, algorithmName(algo), result,
-                       core_busy_before, cluster.numChips());
+    drainGraph(cluster, graph, result, algorithmName(algo), "runGemm1D");
     return result;
 }
 

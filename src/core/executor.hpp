@@ -2,28 +2,21 @@
  * @file
  * Timing executors for the distributed GeMM algorithms (Sec 4.2/4.3).
  *
- * Each algorithm is expressed as a task graph of mesh-wide operations
- * (collectives, shifts, local GeMMs) with the dependency structure of
- * its software pipeline; the fluid cluster simulator then produces the
- * wall-clock time and the launch/transfer/sync breakdown (Fig 10):
+ * Each 2D algorithm is written once, as a `GemmSchedule`
+ * (`core/gemm_schedule`); the timed interpreter here lowers its steps
+ * to a task graph of mesh-wide operations (collectives, SUMMA panels,
+ * shifts, one-sided get batches, local GeMMs) with the schedule's
+ * dependencies, and the fluid cluster simulator produces the
+ * wall-clock time and the launch/transfer/sync breakdown (Fig 10). The
+ * functional interpreter runs the same steps on real data.
  *
- *  - MeshSlice: S-way sliced partial AG/RdS in both directions,
- *    comm(s) chained per direction, compute(s) after its comms.
- *  - Collective: MeshSlice with S = 1 (no overlap possible).
- *  - Wang: the heavier direction's collective decomposed into S
- *    SendRecv rotations overlapped with computes; the other direction
- *    is a blocking collective prologue/epilogue.
- *  - SUMMA: S unrolled iterations of pipelined bcast/reduce.
- *  - Cannon: square mesh only; skew prologue then P systolic SendRecv
- *    iterations.
- *  - OneSided: no collectives at all — per (tile, slice), one
- *    launch-batched set of RDMA gets (`net/onesided`) pulls the A/B
- *    slices from the row/column peers, then the tile's compute; the
- *    only dependencies are within each tile's own chain, so a
- *    straggling or killed source chip delays exactly the tiles that
- *    read from it (gets from a corpse retry over a detour, gets into
- *    it are written off, its compute completes vacuously).
- *  - 1DTP / FSDP: a ring with Wang-style overlapped shifts.
+ * OneSided lowers with no mesh-wide task at all: per (tile, slice) one
+ * launch-batched set of RDMA gets (`net/onesided`), then the tile's
+ * compute, so a straggling or killed source chip delays exactly the
+ * tiles that read from it (gets from a corpse retry over a detour,
+ * gets into it are written off, its compute completes vacuously).
+ * The 1D baselines (1DTP / FSDP) run a ring with Wang-style
+ * overlapped shifts.
  *
  * When `ChipConfig::allowCollectiveOverlap` is false (the real-TPUv4
  * mode of Sec 5.3), AG/RdS/bcast/reduce-based schedules serialize
@@ -33,6 +26,7 @@
 #ifndef MESHSLICE_CORE_EXECUTOR_HPP_
 #define MESHSLICE_CORE_EXECUTOR_HPP_
 
+#include "core/gemm_schedule.hpp"
 #include "core/spec.hpp"
 #include "core/taskgraph.hpp"
 #include "net/topology.hpp"
@@ -57,6 +51,9 @@ class GemmExecutor
      * per-tile get/compute chain depth.
      */
     GemmRunResult run(Algorithm algo, const Gemm2DSpec &spec);
+
+    /** Simulate an already built schedule (no spec validation). */
+    GemmRunResult run(const GemmSchedule &sched);
 
   private:
     TorusMesh &mesh_;

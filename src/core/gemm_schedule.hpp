@@ -1,0 +1,114 @@
+/**
+ * @file
+ * One schedule, two interpreters: each 2D GeMM algorithm is written
+ * once, as a `GemmSchedule` — a list of steps with explicit
+ * dependencies — and both the timing simulator (`core/executor`) and
+ * the data-carrying functional run below read that same list.
+ *
+ * Step kinds (slice indices address the schedule's slice grid: the S
+ * MeshSlice slices, SUMMA's lcm(Pr,Pc) panels, or Cannon's P systolic
+ * steps):
+ *  - kCollective: partial AllGather / ReduceScatter of slices [lo, hi)
+ *    on every ring of `dir`.
+ *  - kPanel: SUMMA broadcast (AG) or reduce (RdS) of panel `lo`.
+ *  - kShift: a SendRecv rotation: a Cannon systolic step, one hop of
+ *    Cannon's skew, or a Wang slice's rotation.
+ *  - kGetBatch: one tile's one-sided gets of slice `lo` (OneSided).
+ *  - kGemm: local GeMM over slices [lo, hi), on every chip or one tile.
+ *
+ * Two steps are timed as a lumped cost while the functional run does
+ * the exact movement (`Lump`): Cannon's skew, charged as floor(P/2)
+ * full-shard rotations of every ring, and a Wang slice's rotation
+ * through P-1 hops, charged as one shift of the same bytes.
+ */
+#ifndef MESHSLICE_CORE_GEMM_SCHEDULE_HPP_
+#define MESHSLICE_CORE_GEMM_SCHEDULE_HPP_
+
+#include <cstdint>
+#include <vector>
+
+#include "core/mesh_ops.hpp"
+#include "core/spec.hpp"
+#include "gemm/dist_matrix.hpp"
+#include "hw/chip_config.hpp"
+
+namespace meshslice {
+
+enum class StepKind { kCollective, kPanel, kShift, kGetBatch, kGemm };
+
+/** How a shift's timed charge relates to the movement it stands for. */
+enum class Lump
+{
+    kNone,     ///< exact: one hop of `bytes` per chip
+    kSkew,     ///< Cannon skew hop `lo`: every ring is charged a full
+               ///< rotation; only rings still short of their offset move
+    kRotation, ///< Wang: slice `lo` circles P-1 hops as an AG or RdS;
+               ///< charged as one shift of the (P-1) pieces' bytes
+};
+
+struct GemmStep
+{
+    StepKind kind = StepKind::kGemm;
+    std::vector<int> deps = {}; ///< indices of earlier steps
+    Dir dir = Dir::kHorizontal;
+    CollKind op = CollKind::kAllGather; ///< AG/bcast or RdS/reduce
+    Lump lump = Lump::kNone;
+    int lo = 0; ///< slice range [lo, hi)
+    int hi = 1;
+    int tile = -1; ///< OneSided tile r*cols+c; -1 = every chip
+    /** Timed payload: per-chip shard (collective, per row get), ring
+     *  payload (panel) or per-chip block (shift). */
+    Bytes bytes = 0;
+    Bytes colBytes = 0; ///< get batch: bytes per column get
+    bool bidir = false; ///< shift split over both ICI directions
+};
+
+struct GemmSchedule
+{
+    Algorithm algo = Algorithm::kMeshSlice;
+    Gemm2DSpec spec;  ///< as scheduled (Collective: sliceCount 1)
+    int slices = 1;   ///< extent of the slice grid
+    GemmWork work;    ///< local GeMM of every kGemm step
+    std::vector<GemmStep> steps;
+};
+
+/** Write @p algo's schedule for @p spec; @p cfg supplies the overlap
+ *  modes and bidirectional ICI. Panics on a non-2D algorithm, Cannon
+ *  on a non-square mesh and OneSided with a non-OS dataflow. */
+GemmSchedule makeGemmSchedule(Algorithm algo, const Gemm2DSpec &spec,
+                              const ChipConfig &cfg);
+
+/** The per-chip bytes the timed interpreter charges for @p step. */
+Bytes chargedBytesPerChip(const GemmSchedule &sched, const GemmStep &step);
+
+/** What one step moved in the functional run (busiest chip). */
+struct StepTraffic
+{
+    std::int64_t elems = 0; ///< elements received
+    int hops = 0;           ///< synchronized neighbour transfers
+};
+
+/**
+ * Functional interpreter: run @p sched's steps in order on per-chip
+ * shards of @p a and @p b (dataflow shapes: OS C = A B; LS C = A B^T
+ * with B stored N x K; RS C = A^T B with A stored K x M), slicing with
+ * memory block @p block. Returns the sharded C; @p traffic, when
+ * non-null, receives one entry per step.
+ */
+DistMatrix runFunctional(const GemmSchedule &sched, const DistMatrix &a,
+                         const DistMatrix &b, int block,
+                         std::vector<StepTraffic> *traffic = nullptr);
+
+/** The spec of a @p df GeMM of operands @p a and @p b (shapes as in
+ *  `runFunctional`) sliced @p s_count ways. */
+Gemm2DSpec functionalSpec(Dataflow df, const DistMatrix &a,
+                          const DistMatrix &b, int s_count);
+
+/** Build @p algo's schedule for the operands and run it functionally. */
+DistMatrix runGemmFunctional(Algorithm algo, Dataflow df,
+                             const DistMatrix &a, const DistMatrix &b,
+                             int s_count, int block);
+
+} // namespace meshslice
+
+#endif // MESHSLICE_CORE_GEMM_SCHEDULE_HPP_

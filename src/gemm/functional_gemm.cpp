@@ -1,9 +1,5 @@
 #include "gemm/functional_gemm.hpp"
 
-#include <numeric>
-
-#include "gemm/ring_collectives.hpp"
-#include "gemm/slicing.hpp"
 #include "util/logging.hpp"
 
 namespace meshslice {
@@ -18,400 +14,6 @@ checkSameMesh(const DistMatrix &a, const DistMatrix &b, const char *what)
 }
 
 } // namespace
-
-// --------------------------------------------------------------------
-// MeshSlice (Fig 5)
-// --------------------------------------------------------------------
-
-DistMatrix
-funcMeshSliceOS(const DistMatrix &a, const DistMatrix &b, int s_count,
-                int block)
-{
-    checkSameMesh(a, b, "funcMeshSliceOS");
-    const MeshShape mesh = a.mesh();
-    if (a.cols() != b.rows())
-        panic("funcMeshSliceOS: K mismatch");
-    DistMatrix c(mesh, a.rows(), b.cols());
-
-    for (int s = 0; s < s_count; ++s) {
-        // A' per row: AG_col of the s-th column sub-shards.
-        std::vector<Matrix> a_prime(static_cast<size_t>(mesh.rows));
-        for (int i = 0; i < mesh.rows; ++i) {
-            std::vector<Matrix> parts;
-            parts.reserve(static_cast<size_t>(mesh.cols));
-            for (int j = 0; j < mesh.cols; ++j)
-                parts.push_back(
-                    sliceCols(a.shardAt(i, j), s_count, s, block));
-            a_prime[static_cast<size_t>(i)] = Matrix::hcat(parts);
-        }
-        // B' per column: AG_row of the s-th row sub-shards.
-        std::vector<Matrix> b_prime(static_cast<size_t>(mesh.cols));
-        for (int j = 0; j < mesh.cols; ++j) {
-            std::vector<Matrix> parts;
-            parts.reserve(static_cast<size_t>(mesh.rows));
-            for (int i = 0; i < mesh.rows; ++i)
-                parts.push_back(
-                    sliceRows(b.shardAt(i, j), s_count, s, block));
-            b_prime[static_cast<size_t>(j)] = Matrix::vcat(parts);
-        }
-        // Partial GeMM accumulated into the stationary C.
-        for (int i = 0; i < mesh.rows; ++i)
-            for (int j = 0; j < mesh.cols; ++j)
-                Matrix::gemmAcc(a_prime[static_cast<size_t>(i)],
-                                b_prime[static_cast<size_t>(j)],
-                                c.shardAt(i, j));
-    }
-    return c;
-}
-
-DistMatrix
-funcMeshSliceLS(const DistMatrix &a, const DistMatrix &b, int s_count,
-                int block)
-{
-    checkSameMesh(a, b, "funcMeshSliceLS");
-    const MeshShape mesh = a.mesh();
-    if (a.cols() != b.cols())
-        panic("funcMeshSliceLS: K mismatch (A is MxK, B is NxK)");
-    const std::int64_t n = b.rows();
-    DistMatrix c(mesh, a.rows(), n);
-    const std::int64_t c_sub_cols = n / (mesh.cols * s_count);
-
-    for (int s = 0; s < s_count; ++s) {
-        // B' per column: AG_row of the s-th row sub-shards of B.
-        std::vector<Matrix> b_prime(static_cast<size_t>(mesh.cols));
-        for (int j = 0; j < mesh.cols; ++j) {
-            std::vector<Matrix> parts;
-            for (int i = 0; i < mesh.rows; ++i)
-                parts.push_back(
-                    sliceRows(b.shardAt(i, j), s_count, s, block));
-            b_prime[static_cast<size_t>(j)] = Matrix::vcat(parts);
-        }
-        for (int i = 0; i < mesh.rows; ++i) {
-            // C' = A_ij * (B'_j)^T summed across the row (the reduce
-            // part of RdS_col).
-            Matrix csum(a.shardRows(), n / s_count);
-            for (int j = 0; j < mesh.cols; ++j) {
-                Matrix bt =
-                    b_prime[static_cast<size_t>(j)].transpose();
-                Matrix::gemmAcc(a.shardAt(i, j), bt, csum);
-            }
-            // Scatter: chip j keeps its contiguous run of the sliced
-            // column list, un-sliced back into its C shard.
-            for (int j = 0; j < mesh.cols; ++j) {
-                Matrix sub = csum.colBlock(j * c_sub_cols, c_sub_cols);
-                unsliceColsInto(c.shardAt(i, j), sub, s_count, s, block);
-            }
-        }
-    }
-    return c;
-}
-
-DistMatrix
-funcMeshSliceRS(const DistMatrix &a, const DistMatrix &b, int s_count,
-                int block)
-{
-    checkSameMesh(a, b, "funcMeshSliceRS");
-    const MeshShape mesh = a.mesh();
-    if (a.rows() != b.rows())
-        panic("funcMeshSliceRS: K mismatch (A is KxM, B is KxN)");
-    const std::int64_t m = a.cols();
-    DistMatrix c(mesh, m, b.cols());
-    const std::int64_t c_sub_rows = m / (mesh.rows * s_count);
-
-    for (int s = 0; s < s_count; ++s) {
-        // A' per row: AG_col of the s-th column sub-shards of A.
-        std::vector<Matrix> a_prime(static_cast<size_t>(mesh.rows));
-        for (int i = 0; i < mesh.rows; ++i) {
-            std::vector<Matrix> parts;
-            for (int j = 0; j < mesh.cols; ++j)
-                parts.push_back(
-                    sliceCols(a.shardAt(i, j), s_count, s, block));
-            a_prime[static_cast<size_t>(i)] = Matrix::hcat(parts);
-        }
-        for (int j = 0; j < mesh.cols; ++j) {
-            // C' = (A'_i)^T * B_ij summed down the column.
-            Matrix csum(m / s_count, b.shardCols());
-            for (int i = 0; i < mesh.rows; ++i) {
-                Matrix at = a_prime[static_cast<size_t>(i)].transpose();
-                Matrix::gemmAcc(at, b.shardAt(i, j), csum);
-            }
-            for (int i = 0; i < mesh.rows; ++i) {
-                Matrix sub = csum.rowBlock(i * c_sub_rows, c_sub_rows);
-                unsliceRowsInto(c.shardAt(i, j), sub, s_count, s, block);
-            }
-        }
-    }
-    return c;
-}
-
-// --------------------------------------------------------------------
-// OneSided (Brock & Golin): per-tile RDMA pulls, no collectives
-// --------------------------------------------------------------------
-
-DistMatrix
-funcOneSidedOS(const DistMatrix &a, const DistMatrix &b, int s_count,
-               int block)
-{
-    checkSameMesh(a, b, "funcOneSidedOS");
-    const MeshShape mesh = a.mesh();
-    if (a.cols() != b.rows())
-        panic("funcOneSidedOS: K mismatch");
-    DistMatrix c(mesh, a.rows(), b.cols());
-
-    // Per-tile loop: tile (i, j) independently pulls the s-th column
-    // sub-shard of A from each row peer and the s-th row sub-shard of
-    // B from each column peer, then accumulates into its stationary C.
-    // Mathematically identical to funcMeshSliceOS — the difference is
-    // that no two tiles ever synchronize, which is exactly what lets
-    // the timed executor survive per-chip faults.
-    for (int i = 0; i < mesh.rows; ++i) {
-        for (int j = 0; j < mesh.cols; ++j) {
-            for (int s = 0; s < s_count; ++s) {
-                std::vector<Matrix> a_parts;
-                a_parts.reserve(static_cast<size_t>(mesh.cols));
-                for (int jj = 0; jj < mesh.cols; ++jj)
-                    a_parts.push_back(
-                        sliceCols(a.shardAt(i, jj), s_count, s, block));
-                std::vector<Matrix> b_parts;
-                b_parts.reserve(static_cast<size_t>(mesh.rows));
-                for (int ii = 0; ii < mesh.rows; ++ii)
-                    b_parts.push_back(
-                        sliceRows(b.shardAt(ii, j), s_count, s, block));
-                Matrix::gemmAcc(Matrix::hcat(a_parts),
-                                Matrix::vcat(b_parts), c.shardAt(i, j));
-            }
-        }
-    }
-    return c;
-}
-
-// --------------------------------------------------------------------
-// Collective 2D GeMM (Fig 2b)
-// --------------------------------------------------------------------
-
-DistMatrix
-funcCollectiveOS(const DistMatrix &a, const DistMatrix &b)
-{
-    checkSameMesh(a, b, "funcCollectiveOS");
-    const MeshShape mesh = a.mesh();
-    DistMatrix c(mesh, a.rows(), b.cols());
-    for (int i = 0; i < mesh.rows; ++i) {
-        std::vector<Matrix> arow;
-        for (int j = 0; j < mesh.cols; ++j)
-            arow.push_back(a.shardAt(i, j));
-        Matrix a_full = Matrix::hcat(arow); // A_i* = AG_col(A_ij)
-        for (int j = 0; j < mesh.cols; ++j) {
-            std::vector<Matrix> bcol;
-            for (int i2 = 0; i2 < mesh.rows; ++i2)
-                bcol.push_back(b.shardAt(i2, j));
-            Matrix b_full = Matrix::vcat(bcol); // B_*j = AG_row(B_ij)
-            Matrix::gemmAcc(a_full, b_full, c.shardAt(i, j));
-        }
-    }
-    return c;
-}
-
-DistMatrix
-funcCollectiveLS(const DistMatrix &a, const DistMatrix &b)
-{
-    checkSameMesh(a, b, "funcCollectiveLS");
-    const MeshShape mesh = a.mesh();
-    const std::int64_t n = b.rows();
-    DistMatrix c(mesh, a.rows(), n);
-    const std::int64_t nc = n / mesh.cols;
-    for (int i = 0; i < mesh.rows; ++i) {
-        Matrix csum(a.shardRows(), n);
-        for (int j = 0; j < mesh.cols; ++j) {
-            std::vector<Matrix> bcol;
-            for (int i2 = 0; i2 < mesh.rows; ++i2)
-                bcol.push_back(b.shardAt(i2, j));
-            Matrix b_full = Matrix::vcat(bcol); // N x K/Pc
-            Matrix bt = b_full.transpose();
-            Matrix::gemmAcc(a.shardAt(i, j), bt, csum);
-        }
-        // RdS_col: chip (i, j) keeps its N/Pc columns.
-        for (int j = 0; j < mesh.cols; ++j)
-            c.shardAt(i, j) = csum.colBlock(j * nc, nc);
-    }
-    return c;
-}
-
-DistMatrix
-funcCollectiveRS(const DistMatrix &a, const DistMatrix &b)
-{
-    checkSameMesh(a, b, "funcCollectiveRS");
-    const MeshShape mesh = a.mesh();
-    const std::int64_t m = a.cols();
-    DistMatrix c(mesh, m, b.cols());
-    const std::int64_t mr = m / mesh.rows;
-    for (int j = 0; j < mesh.cols; ++j) {
-        Matrix csum(m, b.shardCols());
-        for (int i = 0; i < mesh.rows; ++i) {
-            std::vector<Matrix> arow;
-            for (int j2 = 0; j2 < mesh.cols; ++j2)
-                arow.push_back(a.shardAt(i, j2));
-            Matrix a_full = Matrix::hcat(arow); // K/Pr x M
-            Matrix at = a_full.transpose();
-            Matrix::gemmAcc(at, b.shardAt(i, j), csum);
-        }
-        // RdS_row: chip (i, j) keeps its M/Pr rows.
-        for (int i = 0; i < mesh.rows; ++i)
-            c.shardAt(i, j) = csum.rowBlock(i * mr, mr);
-    }
-    return c;
-}
-
-// --------------------------------------------------------------------
-// SUMMA (Fig 2a): P = lcm(Pr, Pc) panel iterations.
-// --------------------------------------------------------------------
-
-DistMatrix
-funcSummaOS(const DistMatrix &a, const DistMatrix &b)
-{
-    checkSameMesh(a, b, "funcSummaOS");
-    const MeshShape mesh = a.mesh();
-    const int p_iter = std::lcm(mesh.rows, mesh.cols);
-    const std::int64_t k = a.cols();
-    if (k % p_iter != 0)
-        panic("funcSummaOS: K %% lcm(Pr,Pc) != 0");
-    const std::int64_t kp = k / p_iter;
-    DistMatrix c(mesh, a.rows(), b.cols());
-    for (int p = 0; p < p_iter; ++p) {
-        const int owner_col = p * mesh.cols / p_iter;
-        const std::int64_t a_off = p * kp - owner_col * a.shardCols();
-        const int owner_row = p * mesh.rows / p_iter;
-        const std::int64_t b_off = p * kp - owner_row * b.shardRows();
-        for (int i = 0; i < mesh.rows; ++i) {
-            // bcast_col(A_ip): owner column's panel shared by the row.
-            Matrix a_panel = a.shardAt(i, owner_col).colBlock(a_off, kp);
-            for (int j = 0; j < mesh.cols; ++j) {
-                Matrix b_panel =
-                    b.shardAt(owner_row, j).rowBlock(b_off, kp);
-                Matrix::gemmAcc(a_panel, b_panel, c.shardAt(i, j));
-            }
-        }
-    }
-    return c;
-}
-
-DistMatrix
-funcSummaLS(const DistMatrix &a, const DistMatrix &b)
-{
-    checkSameMesh(a, b, "funcSummaLS");
-    const MeshShape mesh = a.mesh();
-    const int p_iter = std::lcm(mesh.rows, mesh.cols);
-    const std::int64_t n = b.rows();
-    if (n % p_iter != 0)
-        panic("funcSummaLS: N %% lcm(Pr,Pc) != 0");
-    const std::int64_t np = n / p_iter;
-    DistMatrix c(mesh, a.rows(), n);
-    for (int p = 0; p < p_iter; ++p) {
-        const int owner_row = p * mesh.rows / p_iter;
-        const std::int64_t b_off = p * np - owner_row * b.shardRows();
-        const int owner_col = p * mesh.cols / p_iter;
-        const std::int64_t c_off = p * np - owner_col * c.shardCols();
-        for (int i = 0; i < mesh.rows; ++i) {
-            Matrix csum(a.shardRows(), np);
-            for (int j = 0; j < mesh.cols; ++j) {
-                // bcast_row(B_pj): owner row's panel down the column.
-                Matrix b_panel =
-                    b.shardAt(owner_row, j).rowBlock(b_off, np);
-                Matrix bt = b_panel.transpose();
-                Matrix::gemmAcc(a.shardAt(i, j), bt, csum);
-            }
-            // reduce_col(C', C_ip): into the owner column's C panel.
-            Matrix &dst = c.shardAt(i, owner_col);
-            for (std::int64_t r = 0; r < csum.rows(); ++r)
-                for (std::int64_t cc = 0; cc < np; ++cc)
-                    dst.at(r, c_off + cc) += csum.at(r, cc);
-        }
-    }
-    return c;
-}
-
-DistMatrix
-funcSummaRS(const DistMatrix &a, const DistMatrix &b)
-{
-    checkSameMesh(a, b, "funcSummaRS");
-    const MeshShape mesh = a.mesh();
-    const int p_iter = std::lcm(mesh.rows, mesh.cols);
-    const std::int64_t m = a.cols();
-    if (m % p_iter != 0)
-        panic("funcSummaRS: M %% lcm(Pr,Pc) != 0");
-    const std::int64_t mp = m / p_iter;
-    DistMatrix c(mesh, m, b.cols());
-    for (int p = 0; p < p_iter; ++p) {
-        const int owner_col = p * mesh.cols / p_iter;
-        const std::int64_t a_off = p * mp - owner_col * a.shardCols();
-        const int owner_row = p * mesh.rows / p_iter;
-        const std::int64_t c_off = p * mp - owner_row * c.shardRows();
-        for (int j = 0; j < mesh.cols; ++j) {
-            Matrix csum(mp, b.shardCols());
-            for (int i = 0; i < mesh.rows; ++i) {
-                // bcast_col(A_ip): owner column's panel along the row.
-                Matrix a_panel =
-                    a.shardAt(i, owner_col).colBlock(a_off, mp);
-                Matrix at = a_panel.transpose();
-                Matrix::gemmAcc(at, b.shardAt(i, j), csum);
-            }
-            // reduce_row(C', C_pj): into the owner row's C panel.
-            Matrix &dst = c.shardAt(owner_row, j);
-            for (std::int64_t r = 0; r < mp; ++r)
-                for (std::int64_t cc = 0; cc < csum.cols(); ++cc)
-                    dst.at(c_off + r, cc) += csum.at(r, cc);
-        }
-    }
-    return c;
-}
-
-// --------------------------------------------------------------------
-// Cannon (square mesh) and Wang
-// --------------------------------------------------------------------
-
-DistMatrix
-funcCannon(const DistMatrix &a, const DistMatrix &b)
-{
-    checkSameMesh(a, b, "funcCannon");
-    const MeshShape mesh = a.mesh();
-    if (mesh.rows != mesh.cols)
-        panic("funcCannon: requires a square mesh, got %dx%d", mesh.rows,
-              mesh.cols);
-    const int p = mesh.rows;
-    DistMatrix c(mesh, a.rows(), b.cols());
-
-    // Skew: A row i rotated left by i, B column j rotated up by j.
-    std::vector<Matrix> awork(static_cast<size_t>(p * p));
-    std::vector<Matrix> bwork(static_cast<size_t>(p * p));
-    for (int i = 0; i < p; ++i)
-        for (int j = 0; j < p; ++j) {
-            awork[static_cast<size_t>(i * p + j)] =
-                a.shardAt(i, (j + i) % p);
-            bwork[static_cast<size_t>(i * p + j)] =
-                b.shardAt((i + j) % p, j);
-        }
-
-    for (int t = 0; t < p; ++t) {
-        for (int i = 0; i < p; ++i)
-            for (int j = 0; j < p; ++j)
-                Matrix::gemmAcc(awork[static_cast<size_t>(i * p + j)],
-                                bwork[static_cast<size_t>(i * p + j)],
-                                c.shardAt(i, j));
-        if (t + 1 == p)
-            break;
-        // Rotate A left, B up (the systolic SendRecv step).
-        std::vector<Matrix> anext(awork.size()), bnext(bwork.size());
-        for (int i = 0; i < p; ++i)
-            for (int j = 0; j < p; ++j) {
-                anext[static_cast<size_t>(i * p + j)] =
-                    awork[static_cast<size_t>(i * p + (j + 1) % p)];
-                bnext[static_cast<size_t>(i * p + j)] =
-                    bwork[static_cast<size_t>(((i + 1) % p) * p + j)];
-            }
-        awork = std::move(anext);
-        bwork = std::move(bnext);
-    }
-    return c;
-}
 
 DistMatrix
 func25DGemm(const DistMatrix &a, const DistMatrix &b, int depth)
@@ -447,96 +49,6 @@ func25DGemm(const DistMatrix &a, const DistMatrix &b, int depth)
                 }
             }
         }
-    }
-    return c;
-}
-
-DistMatrix
-funcWangOS(const DistMatrix &a, const DistMatrix &b)
-{
-    checkSameMesh(a, b, "funcWangOS");
-    const MeshShape mesh = a.mesh();
-    DistMatrix c(mesh, a.rows(), b.cols());
-    const std::int64_t kc = a.shardCols();
-
-    // Blocking direction: full AG_row of B per column.
-    std::vector<Matrix> b_full(static_cast<size_t>(mesh.cols));
-    for (int j = 0; j < mesh.cols; ++j) {
-        std::vector<Matrix> parts;
-        for (int i = 0; i < mesh.rows; ++i)
-            parts.push_back(b.shardAt(i, j));
-        b_full[static_cast<size_t>(j)] = Matrix::vcat(parts);
-    }
-    // Overlapped direction: A rotates through the row ring; each step
-    // multiplies the currently-held shard with the matching K rows.
-    for (int t = 0; t < mesh.cols; ++t) {
-        for (int i = 0; i < mesh.rows; ++i)
-            for (int j = 0; j < mesh.cols; ++j) {
-                const int src = (j + t) % mesh.cols;
-                Matrix b_rows = b_full[static_cast<size_t>(j)].rowBlock(
-                    src * kc, kc);
-                Matrix::gemmAcc(a.shardAt(i, src), b_rows,
-                                c.shardAt(i, j));
-            }
-    }
-    return c;
-}
-
-DistMatrix
-funcWangLS(const DistMatrix &a, const DistMatrix &b)
-{
-    checkSameMesh(a, b, "funcWangLS");
-    const MeshShape mesh = a.mesh();
-    const std::int64_t n = b.rows();
-    DistMatrix c(mesh, a.rows(), n);
-    for (int i = 0; i < mesh.rows; ++i) {
-        // Blocking direction: full AG_row of B per column (as in the
-        // timed executor's non-overlapped collective).
-        // Overlapped direction: the per-row ReduceScatter of the
-        // partial C', run through the step-accurate ring RdS.
-        std::vector<Matrix> partials;
-        for (int j = 0; j < mesh.cols; ++j) {
-            std::vector<Matrix> bcol;
-            for (int i2 = 0; i2 < mesh.rows; ++i2)
-                bcol.push_back(b.shardAt(i2, j));
-            Matrix b_full = Matrix::vcat(bcol); // N x K/Pc
-            Matrix bt = b_full.transpose();
-            // C' arranged as Pc stacked column-chunks so the ring RdS
-            // (which scatters row blocks) applies: transpose chunks.
-            Matrix cp = Matrix::gemm(a.shardAt(i, j), bt); // M/Pr x N
-            partials.push_back(cp.transpose()); // N x M/Pr
-        }
-        std::vector<Matrix> reduced =
-            ringReduceScatterFunctional(partials);
-        for (int j = 0; j < mesh.cols; ++j)
-            c.shardAt(i, j) =
-                reduced[static_cast<size_t>(j)].transpose();
-    }
-    return c;
-}
-
-DistMatrix
-funcWangRS(const DistMatrix &a, const DistMatrix &b)
-{
-    checkSameMesh(a, b, "funcWangRS");
-    const MeshShape mesh = a.mesh();
-    const std::int64_t m = a.cols();
-    DistMatrix c(mesh, m, b.cols());
-    for (int j = 0; j < mesh.cols; ++j) {
-        std::vector<Matrix> partials;
-        for (int i = 0; i < mesh.rows; ++i) {
-            std::vector<Matrix> arow;
-            for (int j2 = 0; j2 < mesh.cols; ++j2)
-                arow.push_back(a.shardAt(i, j2));
-            Matrix a_full = Matrix::hcat(arow); // K/Pr x M
-            Matrix at = a_full.transpose();
-            partials.push_back(
-                Matrix::gemm(at, b.shardAt(i, j))); // M x N/Pc
-        }
-        std::vector<Matrix> reduced =
-            ringReduceScatterFunctional(partials);
-        for (int i = 0; i < mesh.rows; ++i)
-            c.shardAt(i, j) = reduced[static_cast<size_t>(i)];
     }
     return c;
 }

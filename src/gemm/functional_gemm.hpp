@@ -1,20 +1,9 @@
 /**
  * @file
- * Functional (data-carrying) implementations of every distributed GeMM
- * algorithm in the paper, used to verify numerical correctness — in
- * particular that MeshSlice's interleaved blocked slicing (Sec 3.1) is
- * a correct partition of the K-dimension reduction, which the paper
- * stresses is the non-trivial part ("most arbitrary slicings result in
- * an incorrect computation").
- *
- * Dataflow semantics (Fig 1/2):
- *  - OS: C = A * B        A: M x K, B: K x N        (C stationary)
- *  - LS: C = A * B^T      A: M x K (stationary), B: N x K
- *  - RS: C = A^T * B      A: K x M, B: K x N (stationary)
- *
- * All functions take matrices already sharded on the same mesh and
- * return the sharded result; `gather()` + a dense reference GeMM checks
- * equality.
+ * Functional (data-carrying) 2.5D and 1D GeMMs, used to verify
+ * numerical correctness against a dense reference. The 2D algorithms
+ * have no routines here: each is one `GemmSchedule`, and
+ * `runFunctional` (`core/gemm_schedule`) runs it on real data.
  */
 #ifndef MESHSLICE_GEMM_FUNCTIONAL_GEMM_HPP_
 #define MESHSLICE_GEMM_FUNCTIONAL_GEMM_HPP_
@@ -22,39 +11,6 @@
 #include "gemm/dist_matrix.hpp"
 
 namespace meshslice {
-
-/** @name MeshSlice (Fig 5), S-way sliced with block size B. @{ */
-DistMatrix funcMeshSliceOS(const DistMatrix &a, const DistMatrix &b,
-                           int s_count, int block);
-DistMatrix funcMeshSliceLS(const DistMatrix &a, const DistMatrix &b,
-                           int s_count, int block);
-DistMatrix funcMeshSliceRS(const DistMatrix &a, const DistMatrix &b,
-                           int s_count, int block);
-/** @} */
-
-/**
- * OneSided sliced GeMM (Brock & Golin): every tile independently pulls
- * the slices it needs from its row/column peers (no collectives, no
- * inter-tile synchronization) and accumulates into its stationary C.
- * Same interleaved blocked slicing as MeshSlice.
- */
-DistMatrix funcOneSidedOS(const DistMatrix &a, const DistMatrix &b,
-                          int s_count, int block);
-
-/** @name Collective 2D GeMM (Fig 2b) — one AG/RdS per direction. @{ */
-DistMatrix funcCollectiveOS(const DistMatrix &a, const DistMatrix &b);
-DistMatrix funcCollectiveLS(const DistMatrix &a, const DistMatrix &b);
-DistMatrix funcCollectiveRS(const DistMatrix &a, const DistMatrix &b);
-/** @} */
-
-/** @name SUMMA (Fig 2a) with P = lcm(Pr, Pc) iterations. @{ */
-DistMatrix funcSummaOS(const DistMatrix &a, const DistMatrix &b);
-DistMatrix funcSummaLS(const DistMatrix &a, const DistMatrix &b);
-DistMatrix funcSummaRS(const DistMatrix &a, const DistMatrix &b);
-/** @} */
-
-/** Cannon's algorithm (square mesh, OS semantics, skew + rotate). */
-DistMatrix funcCannon(const DistMatrix &a, const DistMatrix &b);
 
 /**
  * 2.5D GeMM (Solomonik-Demmel, Sec 7) on a P x P x c logical torus:
@@ -65,23 +21,6 @@ DistMatrix funcCannon(const DistMatrix &a, const DistMatrix &b);
  */
 DistMatrix func25DGemm(const DistMatrix &a, const DistMatrix &b,
                        int depth);
-
-/**
- * Wang et al.'s algorithm (OS semantics): B's direction uses a full
- * collective AllGather; A's direction is decomposed into SendRecv
- * rotations overlapped with partial GeMMs.
- */
-DistMatrix funcWangOS(const DistMatrix &a, const DistMatrix &b);
-
-/**
- * Wang for the LS dataflow (C = A B^T): B's AllGather is the blocking
- * collective; C's ReduceScatter is decomposed into the step-accurate
- * ring reduce-scatter (per-row rings).
- */
-DistMatrix funcWangLS(const DistMatrix &a, const DistMatrix &b);
-
-/** Wang for the RS dataflow (C = A^T B), symmetric to funcWangLS. */
-DistMatrix funcWangRS(const DistMatrix &a, const DistMatrix &b);
 
 /**
  * 1D TP (sequence-parallel style): X sharded by rows over the ring, W

@@ -82,7 +82,10 @@ class AbandonRegistry
   private:
     friend class ScopedAbandonRegistry;
 
-    static thread_local AbandonRegistry *current_;
+    // Defined inline with a constant initializer: an out-of-line
+    // thread_local is reached through a TLS wrapper call that UBSan
+    // reports as a store through a null pointer.
+    static inline thread_local AbandonRegistry *current_ = nullptr;
 
     std::uint64_t nextId_ = 1;
     std::unordered_map<std::uint64_t, std::function<void()>> tracked_;

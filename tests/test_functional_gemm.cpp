@@ -4,16 +4,173 @@
  * dense reference, swept over mesh shapes, dataflows and slice counts
  * with parameterized tests — the repository's ground truth that the
  * MeshSlice algorithm (and each baseline) computes the right answer.
+ *
+ * Every 2D case is also the timed-equals-functional property: the
+ * algorithm's `GemmSchedule` is built once, timed on a simulated mesh,
+ * then run functionally as the same object: every step must wait for
+ * the steps whose output it reads (so the timed dependencies allow the
+ * functional order), and each communication step's timed per-chip
+ * bytes must equal the elements the functional run moved (the two
+ * lumped steps must also keep their stated hop relation).
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <tuple>
+
+#include "core/executor.hpp"
 #include "gemm/functional_gemm.hpp"
-#include "gemm/slicing.hpp"
 
 namespace meshslice {
 namespace {
 
 constexpr double kTol = 2e-3; // float accumulation-order slack
+
+/** The dense product a @p df GeMM of @p a and @p b computes. */
+Matrix
+referenceProduct(Dataflow df, const Matrix &a, const Matrix &b)
+{
+    if (df == Dataflow::kLS)
+        return Matrix::gemm(a, b.transpose());
+    if (df == Dataflow::kRS)
+        return Matrix::gemm(a.transpose(), b);
+    return Matrix::gemm(a, b);
+}
+
+/**
+ * The functional run executes the steps in list order; the timed run
+ * starts a step once its dependencies finish. The two agree only if
+ * every step that reads a buffer (a slice of a moving input, or a
+ * GeMM partial) waits, directly or transitively, for the step that
+ * last wrote it. Returns the number of violations.
+ */
+int
+unorderedReads(const GemmSchedule &sched)
+{
+    const size_t n = sched.steps.size();
+    std::vector<std::vector<bool>> waits(n, std::vector<bool>(n, false));
+    // Buffer key: (what, slice, tile); what = 0/1 input dir, 2 partial.
+    std::map<std::tuple<int, int, int>, int> last_writer;
+    int violations = 0;
+    for (size_t i = 0; i < n; ++i) {
+        const GemmStep &step = sched.steps[i];
+        for (int d : step.deps) {
+            waits[i][static_cast<size_t>(d)] = true;
+            for (size_t j = 0; j < n; ++j)
+                if (waits[static_cast<size_t>(d)][j])
+                    waits[i][j] = true;
+        }
+        auto read = [&](int what, int s) {
+            auto it = last_writer.find({what, s, step.tile});
+            if (it != last_writer.end() &&
+                !waits[i][static_cast<size_t>(it->second)])
+                ++violations;
+        };
+        auto write = [&](int what, int s) {
+            last_writer[{what, s, step.tile}] = static_cast<int>(i);
+        };
+        const int dir = step.dir == Dir::kHorizontal ? 0 : 1;
+        const bool gathers = step.op == CollKind::kAllGather;
+        for (int s = step.lo; s < step.hi; ++s) {
+            switch (step.kind) {
+              case StepKind::kCollective:
+              case StepKind::kPanel:
+                gathers ? write(dir, s) : read(2, s);
+                break;
+              case StepKind::kShift:
+                if (step.lump == Lump::kRotation) {
+                    gathers ? write(dir, s) : read(2, s);
+                } else if (step.lump == Lump::kSkew) {
+                    read(dir, 0);
+                    write(dir, 0);
+                } else {
+                    read(dir, s);
+                    write(dir, s + 1);
+                }
+                break;
+              case StepKind::kGetBatch:
+                write(0, s);
+                write(1, s);
+                break;
+              case StepKind::kGemm:
+                if (sched.spec.dataflow != Dataflow::kLS)
+                    read(0, s);
+                if (sched.spec.dataflow != Dataflow::kRS)
+                    read(1, s);
+                if (sched.spec.dataflow != Dataflow::kOS)
+                    write(2, s);
+                break;
+            }
+        }
+    }
+    return violations;
+}
+
+/**
+ * Build @p algo's schedule for the scattered operands once, simulate
+ * it, run it functionally and check the product against @p ref and
+ * every step's traffic against its timed charge. Returns the product.
+ */
+Matrix
+timedEqualsFunctional(Algorithm algo, Dataflow df, MeshShape mesh, int s,
+                      int block, const Matrix &a, const Matrix &b,
+                      const Matrix &ref,
+                      const ChipConfig &cfg = tpuV4Config())
+{
+    const DistMatrix da = DistMatrix::scatter(a, mesh);
+    const DistMatrix db = DistMatrix::scatter(b, mesh);
+    const GemmSchedule sched =
+        makeGemmSchedule(algo, functionalSpec(df, da, db, s), cfg);
+    // SUMMA's pipelined schedule has a known ordering gap: a compute
+    // group waits only for the last panel step of each iteration (the
+    // vertical one in OS), and with S not dividing lcm(Pr, Pc) a reduce
+    // can wait for the wrong group. Its timings are pinned as they are,
+    // so only its strictly chained (no-overlap) schedule is checked.
+    if (algo != Algorithm::kSumma || !cfg.allowCollectiveOverlap) {
+        EXPECT_EQ(unorderedReads(sched), 0) << algorithmName(algo);
+    }
+
+    Cluster cluster(cfg, mesh.chips());
+    TorusMesh torus(cluster, mesh.rows, mesh.cols);
+    GemmExecutor exec(torus);
+    EXPECT_GT(exec.run(sched).time, 0.0);
+
+    std::vector<StepTraffic> traffic;
+    const Matrix got = runFunctional(sched, da, db, block, &traffic).gather();
+    EXPECT_TRUE(got.allClose(ref, kTol))
+        << algorithmName(algo) << " " << dataflowName(df) << " max diff "
+        << got.maxAbsDiff(ref);
+
+    EXPECT_EQ(traffic.size(), sched.steps.size());
+    int skew_hops[2] = {0, 0};
+    for (size_t i = 0; i < std::min(traffic.size(), sched.steps.size());
+         ++i) {
+        const GemmStep &step = sched.steps[i];
+        const int ring =
+            step.dir == Dir::kHorizontal ? mesh.cols : mesh.rows;
+        EXPECT_EQ(chargedBytesPerChip(sched, step),
+                  traffic[i].elems * sched.spec.bytesPerElement)
+            << algorithmName(algo) << " step " << i;
+        // A Wang rotation is timed as one shift but moves its slice
+        // around the whole ring.
+        if (step.lump == Lump::kRotation) {
+            EXPECT_EQ(traffic[i].hops, ring - 1) << "step " << i;
+        }
+        if (step.lump == Lump::kSkew)
+            ++skew_hops[step.dir == Dir::kHorizontal ? 0 : 1];
+    }
+    // Cannon's skew is charged as floor(P/2) rotations of every ring:
+    // exactly the farthest ring's shorter-way distance, min(r, P - r).
+    if (algo == Algorithm::kCannon) {
+        int farthest = 0;
+        for (int r = 0; r < mesh.rows; ++r)
+            farthest = std::max(farthest, std::min(r, mesh.rows - r));
+        EXPECT_EQ(skew_hops[0], farthest);
+        EXPECT_EQ(skew_hops[1], farthest);
+    }
+    return got;
+}
 
 struct FuncCase
 {
@@ -40,64 +197,76 @@ class FunctionalGemm : public ::testing::TestWithParam<FuncCase>
     static constexpr std::int64_t kM = 96;
     static constexpr std::int64_t kK = 96;
     static constexpr std::int64_t kN = 96;
+
+    Matrix
+    check(Algorithm algo, Dataflow df, const Matrix &a, const Matrix &b,
+          const Matrix &ref)
+    {
+        const FuncCase &p = GetParam();
+        return timedEqualsFunctional(algo, df, {p.meshRows, p.meshCols},
+                                     p.sliceCount, p.block, a, b, ref);
+    }
 };
 
 TEST_P(FunctionalGemm, MeshSliceOSMatchesReference)
 {
-    const FuncCase &p = GetParam();
-    MeshShape mesh{p.meshRows, p.meshCols};
     Matrix a = Matrix::random(kM, kK, 1);
     Matrix b = Matrix::random(kK, kN, 2);
-    Matrix ref = Matrix::gemm(a, b);
-    DistMatrix c = funcMeshSliceOS(DistMatrix::scatter(a, mesh),
-                                   DistMatrix::scatter(b, mesh),
-                                   p.sliceCount, p.block);
-    EXPECT_TRUE(c.gather().allClose(ref, kTol))
-        << "max diff " << c.gather().maxAbsDiff(ref);
+    check(Algorithm::kMeshSlice, Dataflow::kOS, a, b, Matrix::gemm(a, b));
 }
 
 TEST_P(FunctionalGemm, MeshSliceLSMatchesReference)
 {
-    const FuncCase &p = GetParam();
-    MeshShape mesh{p.meshRows, p.meshCols};
     Matrix a = Matrix::random(kM, kK, 3);
     Matrix b = Matrix::random(kN, kK, 4); // B is N x K; C = A B^T
-    Matrix ref = Matrix::gemm(a, b.transpose());
-    DistMatrix c = funcMeshSliceLS(DistMatrix::scatter(a, mesh),
-                                   DistMatrix::scatter(b, mesh),
-                                   p.sliceCount, p.block);
-    EXPECT_TRUE(c.gather().allClose(ref, kTol))
-        << "max diff " << c.gather().maxAbsDiff(ref);
+    check(Algorithm::kMeshSlice, Dataflow::kLS, a, b,
+          Matrix::gemm(a, b.transpose()));
 }
 
 TEST_P(FunctionalGemm, MeshSliceRSMatchesReference)
 {
-    const FuncCase &p = GetParam();
-    MeshShape mesh{p.meshRows, p.meshCols};
     Matrix a = Matrix::random(kK, kM, 5); // A is K x M; C = A^T B
     Matrix b = Matrix::random(kK, kN, 6);
-    Matrix ref = Matrix::gemm(a.transpose(), b);
-    DistMatrix c = funcMeshSliceRS(DistMatrix::scatter(a, mesh),
-                                   DistMatrix::scatter(b, mesh),
-                                   p.sliceCount, p.block);
-    EXPECT_TRUE(c.gather().allClose(ref, kTol))
-        << "max diff " << c.gather().maxAbsDiff(ref);
+    check(Algorithm::kMeshSlice, Dataflow::kRS, a, b,
+          Matrix::gemm(a.transpose(), b));
 }
 
 TEST_P(FunctionalGemm, CollectiveAgreesWithMeshSlice)
 {
     // Collective 2D GeMM is the S=1 special case; both must agree with
-    // each other (and the reference) on all dataflows.
-    const FuncCase &p = GetParam();
-    MeshShape mesh{p.meshRows, p.meshCols};
+    // each other (and the reference).
     Matrix a = Matrix::random(kM, kK, 7);
     Matrix b = Matrix::random(kK, kN, 8);
-    DistMatrix da = DistMatrix::scatter(a, mesh);
-    DistMatrix db = DistMatrix::scatter(b, mesh);
-    Matrix collective = funcCollectiveOS(da, db).gather();
-    Matrix meshslice =
-        funcMeshSliceOS(da, db, p.sliceCount, p.block).gather();
+    const Matrix ref = Matrix::gemm(a, b);
+    const Matrix collective =
+        check(Algorithm::kCollective, Dataflow::kOS, a, b, ref);
+    const Matrix meshslice =
+        check(Algorithm::kMeshSlice, Dataflow::kOS, a, b, ref);
     EXPECT_TRUE(collective.allClose(meshslice, kTol));
+}
+
+TEST_P(FunctionalGemm, OneSidedOSBitIdenticalToMeshSlice)
+{
+    // Per C shard the accumulation order over slices is MeshSlice's —
+    // the per-tile pull reorders tiles, never a tile's additions.
+    Matrix a = Matrix::random(kM, kK, 9);
+    Matrix b = Matrix::random(kK, kN, 10);
+    const Matrix ref = Matrix::gemm(a, b);
+    const Matrix onesided =
+        check(Algorithm::kOneSided, Dataflow::kOS, a, b, ref);
+    const Matrix meshslice =
+        check(Algorithm::kMeshSlice, Dataflow::kOS, a, b, ref);
+    EXPECT_EQ(onesided.maxAbsDiff(meshslice), 0.0);
+}
+
+TEST_P(FunctionalGemm, WangSlicedMatchesReference)
+{
+    // Wang's rotations carry the same blocked slices as MeshSlice.
+    for (Dataflow df : {Dataflow::kOS, Dataflow::kLS, Dataflow::kRS}) {
+        Matrix a = Matrix::random(kM, kK, 11);
+        Matrix b = Matrix::random(kK, kN, 12);
+        check(Algorithm::kWang, df, a, b, referenceProduct(df, a, b));
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -126,90 +295,86 @@ class BaselineGemm : public ::testing::TestWithParam<BaselineCase>
     static constexpr std::int64_t kM = 48;
     static constexpr std::int64_t kK = 96;
     static constexpr std::int64_t kN = 48;
+
+    void
+    check(Algorithm algo, Dataflow df, const Matrix &a, const Matrix &b,
+          const Matrix &ref)
+    {
+        timedEqualsFunctional(algo, df,
+                              {GetParam().meshRows, GetParam().meshCols},
+                              1, 1, a, b, ref);
+    }
 };
 
 TEST_P(BaselineGemm, CollectiveOSMatchesReference)
 {
-    MeshShape mesh{GetParam().meshRows, GetParam().meshCols};
     Matrix a = Matrix::random(kM, kK, 11);
     Matrix b = Matrix::random(kK, kN, 12);
-    Matrix ref = Matrix::gemm(a, b);
-    Matrix got = funcCollectiveOS(DistMatrix::scatter(a, mesh),
-                                  DistMatrix::scatter(b, mesh))
-                     .gather();
-    EXPECT_TRUE(got.allClose(ref, kTol));
+    check(Algorithm::kCollective, Dataflow::kOS, a, b, Matrix::gemm(a, b));
 }
 
 TEST_P(BaselineGemm, CollectiveLSMatchesReference)
 {
-    MeshShape mesh{GetParam().meshRows, GetParam().meshCols};
     Matrix a = Matrix::random(kM, kK, 13);
     Matrix b = Matrix::random(kN, kK, 14);
-    Matrix ref = Matrix::gemm(a, b.transpose());
-    Matrix got = funcCollectiveLS(DistMatrix::scatter(a, mesh),
-                                  DistMatrix::scatter(b, mesh))
-                     .gather();
-    EXPECT_TRUE(got.allClose(ref, kTol));
+    check(Algorithm::kCollective, Dataflow::kLS, a, b,
+          Matrix::gemm(a, b.transpose()));
 }
 
 TEST_P(BaselineGemm, CollectiveRSMatchesReference)
 {
-    MeshShape mesh{GetParam().meshRows, GetParam().meshCols};
     Matrix a = Matrix::random(kK, kM, 15);
     Matrix b = Matrix::random(kK, kN, 16);
-    Matrix ref = Matrix::gemm(a.transpose(), b);
-    Matrix got = funcCollectiveRS(DistMatrix::scatter(a, mesh),
-                                  DistMatrix::scatter(b, mesh))
-                     .gather();
-    EXPECT_TRUE(got.allClose(ref, kTol));
+    check(Algorithm::kCollective, Dataflow::kRS, a, b,
+          Matrix::gemm(a.transpose(), b));
 }
 
 TEST_P(BaselineGemm, SummaOSMatchesReference)
 {
-    MeshShape mesh{GetParam().meshRows, GetParam().meshCols};
     Matrix a = Matrix::random(kM, kK, 17);
     Matrix b = Matrix::random(kK, kN, 18);
-    Matrix ref = Matrix::gemm(a, b);
-    Matrix got = funcSummaOS(DistMatrix::scatter(a, mesh),
-                             DistMatrix::scatter(b, mesh))
-                     .gather();
-    EXPECT_TRUE(got.allClose(ref, kTol));
+    check(Algorithm::kSumma, Dataflow::kOS, a, b, Matrix::gemm(a, b));
 }
 
 TEST_P(BaselineGemm, SummaLSMatchesReference)
 {
-    MeshShape mesh{GetParam().meshRows, GetParam().meshCols};
     Matrix a = Matrix::random(kM, kK, 19);
     Matrix b = Matrix::random(kN, kK, 20);
-    Matrix ref = Matrix::gemm(a, b.transpose());
-    Matrix got = funcSummaLS(DistMatrix::scatter(a, mesh),
-                             DistMatrix::scatter(b, mesh))
-                     .gather();
-    EXPECT_TRUE(got.allClose(ref, kTol));
+    check(Algorithm::kSumma, Dataflow::kLS, a, b,
+          Matrix::gemm(a, b.transpose()));
 }
 
 TEST_P(BaselineGemm, SummaRSMatchesReference)
 {
-    MeshShape mesh{GetParam().meshRows, GetParam().meshCols};
     Matrix a = Matrix::random(kK, kM, 21);
     Matrix b = Matrix::random(kK, kN, 22);
-    Matrix ref = Matrix::gemm(a.transpose(), b);
-    Matrix got = funcSummaRS(DistMatrix::scatter(a, mesh),
-                             DistMatrix::scatter(b, mesh))
-                     .gather();
-    EXPECT_TRUE(got.allClose(ref, kTol));
+    check(Algorithm::kSumma, Dataflow::kRS, a, b,
+          Matrix::gemm(a.transpose(), b));
 }
 
 TEST_P(BaselineGemm, WangOSMatchesReference)
 {
-    MeshShape mesh{GetParam().meshRows, GetParam().meshCols};
+    // On 4x2 the vertical direction carries more bytes per link, so B
+    // rotates and A is the blocking AllGather.
     Matrix a = Matrix::random(kM, kK, 23);
     Matrix b = Matrix::random(kK, kN, 24);
-    Matrix ref = Matrix::gemm(a, b);
-    Matrix got = funcWangOS(DistMatrix::scatter(a, mesh),
-                            DistMatrix::scatter(b, mesh))
-                     .gather();
-    EXPECT_TRUE(got.allClose(ref, kTol));
+    check(Algorithm::kWang, Dataflow::kOS, a, b, Matrix::gemm(a, b));
+}
+
+TEST_P(BaselineGemm, WangLSMatchesReference)
+{
+    Matrix a = Matrix::random(kM, kK, 25);
+    Matrix b = Matrix::random(kN, kK, 26);
+    check(Algorithm::kWang, Dataflow::kLS, a, b,
+          Matrix::gemm(a, b.transpose()));
+}
+
+TEST_P(BaselineGemm, WangRSMatchesReference)
+{
+    Matrix a = Matrix::random(kK, kM, 27);
+    Matrix b = Matrix::random(kK, kN, 28);
+    check(Algorithm::kWang, Dataflow::kRS, a, b,
+          Matrix::gemm(a.transpose(), b));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -224,17 +389,46 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(info.param.meshCols);
     });
 
+TEST(TimedEqualsFunctional, EveryOverlapModeAndIciDirection)
+{
+    // The overlap modes and bidirectional ICI change only the timed
+    // dependencies and shift splits, never what a step moves.
+    const Matrix a = Matrix::random(64, 64, 51);
+    const Matrix b = Matrix::random(64, 64, 52);
+    for (int mode = 0; mode < 3; ++mode) {
+        for (bool bidir : {true, false}) {
+            ChipConfig cfg = tpuV4Config();
+            cfg.allowCollectiveOverlap = mode != 1;
+            cfg.allowSendRecvOverlap = mode != 2;
+            cfg.bidirectionalIci = bidir;
+            for (Algorithm algo : all2DAlgorithms()) {
+                const MeshShape mesh = algo == Algorithm::kCannon
+                                           ? MeshShape{4, 4}
+                                           : MeshShape{4, 2};
+                for (Dataflow df :
+                     {Dataflow::kOS, Dataflow::kLS, Dataflow::kRS}) {
+                    if (runsOutputStationaryOnly(algo) &&
+                        df != Dataflow::kOS)
+                        continue;
+                    SCOPED_TRACE(std::string(algorithmName(algo)) + " " +
+                                 dataflowName(df) + " mode " +
+                                 std::to_string(mode));
+                    timedEqualsFunctional(algo, df, mesh, 2, 2, a, b,
+                                          referenceProduct(df, a, b), cfg);
+                }
+            }
+        }
+    }
+}
+
 TEST(CannonGemm, MatchesReferenceOnSquareMeshes)
 {
     for (int p : {1, 2, 3, 4, 6}) {
-        MeshShape mesh{p, p};
+        SCOPED_TRACE("P=" + std::to_string(p));
         Matrix a = Matrix::random(48, 96, 31);
         Matrix b = Matrix::random(96, 48, 32);
-        Matrix ref = Matrix::gemm(a, b);
-        Matrix got = funcCannon(DistMatrix::scatter(a, mesh),
-                                DistMatrix::scatter(b, mesh))
-                         .gather();
-        EXPECT_TRUE(got.allClose(ref, kTol)) << "P=" << p;
+        timedEqualsFunctional(Algorithm::kCannon, Dataflow::kOS, {p, p}, 1,
+                              1, a, b, Matrix::gemm(a, b));
     }
 }
 
@@ -243,8 +437,9 @@ TEST(CannonGemmDeath, RejectsNonSquareMesh)
     MeshShape mesh{2, 4};
     Matrix a = Matrix::random(16, 16, 1);
     Matrix b = Matrix::random(16, 16, 2);
-    EXPECT_DEATH(funcCannon(DistMatrix::scatter(a, mesh),
-                            DistMatrix::scatter(b, mesh)),
+    EXPECT_DEATH(runGemmFunctional(Algorithm::kCannon, Dataflow::kOS,
+                                   DistMatrix::scatter(a, mesh),
+                                   DistMatrix::scatter(b, mesh), 1, 1),
                  "square");
 }
 
@@ -323,18 +518,17 @@ TEST(FunctionalCrossCheck, AllDataflowsComputeSameLogicalGemm)
     Matrix w = Matrix::random(k, n, 61);
     Matrix ref = Matrix::gemm(x, w);
 
-    Matrix y_os = funcMeshSliceOS(DistMatrix::scatter(x, mesh),
-                                  DistMatrix::scatter(w, mesh), 2, 2)
-                      .gather();
+    auto meshslice = [&](Dataflow df, const Matrix &l, const Matrix &r) {
+        return runGemmFunctional(Algorithm::kMeshSlice, df,
+                                 DistMatrix::scatter(l, mesh),
+                                 DistMatrix::scatter(r, mesh), 2, 2)
+            .gather();
+    };
+    Matrix y_os = meshslice(Dataflow::kOS, x, w);
     // LS: Y = LS(X, W^T) where the right operand is stored N x K.
-    Matrix y_ls = funcMeshSliceLS(DistMatrix::scatter(x, mesh),
-                                  DistMatrix::scatter(w.transpose(), mesh),
-                                  2, 2)
-                      .gather();
+    Matrix y_ls = meshslice(Dataflow::kLS, x, w.transpose());
     // RS: Y = RS(X^T, W) where the left operand is stored K x M.
-    Matrix y_rs = funcMeshSliceRS(DistMatrix::scatter(x.transpose(), mesh),
-                                  DistMatrix::scatter(w, mesh), 2, 2)
-                      .gather();
+    Matrix y_rs = meshslice(Dataflow::kRS, x.transpose(), w);
     EXPECT_TRUE(y_os.allClose(ref, kTol));
     EXPECT_TRUE(y_ls.allClose(ref, kTol));
     EXPECT_TRUE(y_rs.allClose(ref, kTol));

@@ -15,7 +15,6 @@
 #include <map>
 
 #include "core/executor.hpp"
-#include "gemm/functional_gemm.hpp"
 #include "sim/fluid.hpp"
 #include "waterfill_oracle.hpp"
 
@@ -261,9 +260,10 @@ TEST(FunctionalProperties, RandomizedMeshSliceSweep)
         Matrix a = Matrix::random(m, k, 1000 + trial);
         Matrix b = Matrix::random(k, n, 2000 + trial);
         Matrix ref = Matrix::gemm(a, b);
-        Matrix got = funcMeshSliceOS(DistMatrix::scatter(a, mesh),
-                                     DistMatrix::scatter(b, mesh), s,
-                                     block)
+        Matrix got = runGemmFunctional(Algorithm::kMeshSlice, Dataflow::kOS,
+                                       DistMatrix::scatter(a, mesh),
+                                       DistMatrix::scatter(b, mesh), s,
+                                       block)
                          .gather();
         EXPECT_TRUE(got.allClose(ref, 5e-3))
             << "trial " << trial << ": " << rows << "x" << cols << " S="
@@ -279,23 +279,27 @@ TEST(FunctionalProperties, WangVariantsMatchCollectiveDataflows)
     {
         Matrix a = Matrix::random(m, k, 1);
         Matrix b = Matrix::random(n, k, 2); // LS: B is N x K
-        Matrix ref = funcCollectiveLS(DistMatrix::scatter(a, mesh),
-                                      DistMatrix::scatter(b, mesh))
+        const DistMatrix da = DistMatrix::scatter(a, mesh);
+        const DistMatrix db = DistMatrix::scatter(b, mesh);
+        Matrix ref = runGemmFunctional(Algorithm::kCollective,
+                                       Dataflow::kLS, da, db, 1, 1)
                          .gather();
-        Matrix got = funcWangLS(DistMatrix::scatter(a, mesh),
-                                DistMatrix::scatter(b, mesh))
-                         .gather();
+        Matrix got =
+            runGemmFunctional(Algorithm::kWang, Dataflow::kLS, da, db, 1, 1)
+                .gather();
         EXPECT_TRUE(got.allClose(ref, 2e-3));
     }
     {
         Matrix a = Matrix::random(k, m, 3); // RS: A is K x M
         Matrix b = Matrix::random(k, n, 4);
-        Matrix ref = funcCollectiveRS(DistMatrix::scatter(a, mesh),
-                                      DistMatrix::scatter(b, mesh))
+        const DistMatrix da = DistMatrix::scatter(a, mesh);
+        const DistMatrix db = DistMatrix::scatter(b, mesh);
+        Matrix ref = runGemmFunctional(Algorithm::kCollective,
+                                       Dataflow::kRS, da, db, 1, 1)
                          .gather();
-        Matrix got = funcWangRS(DistMatrix::scatter(a, mesh),
-                                DistMatrix::scatter(b, mesh))
-                         .gather();
+        Matrix got =
+            runGemmFunctional(Algorithm::kWang, Dataflow::kRS, da, db, 1, 1)
+                .gather();
         EXPECT_TRUE(got.allClose(ref, 2e-3));
     }
 }

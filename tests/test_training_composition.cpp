@@ -5,12 +5,12 @@
  * backward-data and backward-weight GeMMs of Y = X W must compute the
  * exact same mathematical results — with each matrix stored in the
  * orientation the row prescribes and never re-transposed between
- * passes. Run end-to-end through the sliced MeshSlice functional
- * implementations on a 2x4 mesh.
+ * passes. Run end-to-end through the MeshSlice schedule's functional
+ * interpreter on a 2x4 mesh.
  */
 #include <gtest/gtest.h>
 
-#include "gemm/functional_gemm.hpp"
+#include "core/gemm_schedule.hpp"
 
 namespace meshslice {
 namespace {
@@ -40,18 +40,25 @@ class Table1Composition : public ::testing::Test
     {
         return DistMatrix::scatter(m, mesh);
     }
+
+    Matrix
+    meshslice(Dataflow df, const DistMatrix &a, const DistMatrix &b) const
+    {
+        return runGemmFunctional(Algorithm::kMeshSlice, df, a, b, kS, kB)
+            .gather();
+    }
 };
 
 TEST_F(Table1Composition, YStationaryRow)
 {
     // Y = OS(X, W); X' = LS(Y', W); W' = RS(X, Y').
-    Matrix y = funcMeshSliceOS(dist(x), dist(w), kS, kB).gather();
+    Matrix y = meshslice(Dataflow::kOS, dist(x), dist(w));
     EXPECT_TRUE(y.allClose(y_ref, kTol));
 
-    Matrix dx = funcMeshSliceLS(dist(dy), dist(w), kS, kB).gather();
+    Matrix dx = meshslice(Dataflow::kLS, dist(dy), dist(w));
     EXPECT_TRUE(dx.allClose(dx_ref, kTol));
 
-    Matrix dw = funcMeshSliceRS(dist(x), dist(dy), kS, kB).gather();
+    Matrix dw = meshslice(Dataflow::kRS, dist(x), dist(dy));
     EXPECT_TRUE(dw.allClose(dw_ref, kTol));
 }
 
@@ -62,16 +69,16 @@ TEST_F(Table1Composition, XStationaryRow)
     Matrix wt = w.transpose();
 
     // Y = LS(X, W^T).
-    Matrix y = funcMeshSliceLS(dist(x), dist(wt), kS, kB).gather();
+    Matrix y = meshslice(Dataflow::kLS, dist(x), dist(wt));
     EXPECT_TRUE(y.allClose(y_ref, kTol));
 
     // X' = OS(Y', W^T).
-    Matrix dx = funcMeshSliceOS(dist(dy), dist(wt), kS, kB).gather();
+    Matrix dx = meshslice(Dataflow::kOS, dist(dy), dist(wt));
     EXPECT_TRUE(dx.allClose(dx_ref, kTol));
 
     // W'^T = RS(Y', X) — the gradient arrives already transposed,
     // matching the transposed weight storage.
-    Matrix dwt = funcMeshSliceRS(dist(dy), dist(x), kS, kB).gather();
+    Matrix dwt = meshslice(Dataflow::kRS, dist(dy), dist(x));
     EXPECT_TRUE(dwt.allClose(dw_ref.transpose(), kTol));
 }
 
@@ -81,15 +88,15 @@ TEST_F(Table1Composition, WStationaryRow)
     Matrix xt = x.transpose();
 
     // Y = RS(X^T, W).
-    Matrix y = funcMeshSliceRS(dist(xt), dist(w), kS, kB).gather();
+    Matrix y = meshslice(Dataflow::kRS, dist(xt), dist(w));
     EXPECT_TRUE(y.allClose(y_ref, kTol));
 
     // X'^T = LS(W, Y').
-    Matrix dxt = funcMeshSliceLS(dist(w), dist(dy), kS, kB).gather();
+    Matrix dxt = meshslice(Dataflow::kLS, dist(w), dist(dy));
     EXPECT_TRUE(dxt.allClose(dx_ref.transpose(), kTol));
 
     // W' = OS(X^T, Y').
-    Matrix dw = funcMeshSliceOS(dist(xt), dist(dy), kS, kB).gather();
+    Matrix dw = meshslice(Dataflow::kOS, dist(xt), dist(dy));
     EXPECT_TRUE(dw.allClose(dw_ref, kTol));
 }
 
@@ -97,11 +104,11 @@ TEST_F(Table1Composition, AllRowsAgreeWithEachOther)
 {
     // The three rows are different schedules for the same math: their
     // forward results must agree bit-for-bit-ish.
-    Matrix y_os = funcMeshSliceOS(dist(x), dist(w), kS, kB).gather();
+    Matrix y_os = meshslice(Dataflow::kOS, dist(x), dist(w));
     Matrix y_ls =
-        funcMeshSliceLS(dist(x), dist(w.transpose()), kS, kB).gather();
+        meshslice(Dataflow::kLS, dist(x), dist(w.transpose()));
     Matrix y_rs =
-        funcMeshSliceRS(dist(x.transpose()), dist(w), kS, kB).gather();
+        meshslice(Dataflow::kRS, dist(x.transpose()), dist(w));
     EXPECT_TRUE(y_os.allClose(y_ls, kTol));
     EXPECT_TRUE(y_os.allClose(y_rs, kTol));
 }
@@ -111,7 +118,7 @@ TEST_F(Table1Composition, GradientCheckAgainstFiniteDifference)
     // Spot-check dW numerically: dL/dW[i,j] with L = sum(Y * dY)
     // equals (X^T dY)[i,j].
     const double eps = 1e-3;
-    Matrix dw = funcMeshSliceRS(dist(x), dist(dy), kS, kB).gather();
+    Matrix dw = meshslice(Dataflow::kRS, dist(x), dist(dy));
     for (auto [i, j] :
          {std::pair{0, 0}, {5, 3}, {95, 31}, {17, 12}}) {
         Matrix wp = w;
