@@ -93,61 +93,6 @@ BenchArgs::parse(int argc, char **argv, int default_chips)
     return args;
 }
 
-Time
-estimate1DTime(const CostModel &cost, const Gemm1DSpec &spec)
-{
-    const Bytes traffic =
-        spec.commBytes / spec.chips * (spec.chips - 1);
-    const Time t_shift = cost.shiftTime(traffic / spec.sliceCount);
-    GemmWork work = spec.localWork();
-    if (work.m >= work.n)
-        work.m = std::max<std::int64_t>(1, work.m / spec.sliceCount);
-    else
-        work.n = std::max<std::int64_t>(1, work.n / spec.sliceCount);
-    const Time t_c = cost.computeTime(work);
-    const Time steady = std::max(t_shift, t_c);
-    return t_shift + (spec.sliceCount - 1) * steady + t_c;
-}
-
-Gemm1DSpec
-make1DSpec(const FcGemm &gemm, Algorithm algo, int chips,
-           int bytes_per_element)
-{
-    Gemm1DSpec spec;
-    spec.m = gemm.m;
-    spec.k = gemm.k;
-    spec.n = gemm.n;
-    spec.chips = chips;
-    spec.bytesPerElement = bytes_per_element;
-    const Bytes e = bytes_per_element;
-    if (algo == Algorithm::kOneDTP) {
-        // Sequence-parallel 1D TP: activations move. Forward and
-        // backward-data all-gather the (m x k) input; backward-weight
-        // reduce-scatters the (m x n) weight gradient.
-        if (gemm.pass == Pass::kBackwardWeight) {
-            spec.commBytes = gemm.m * gemm.n * e;
-            spec.commIsReduce = true;
-            spec.local = GemmWork{gemm.m, gemm.k / chips, gemm.n};
-        } else {
-            spec.commBytes = gemm.m * gemm.k * e;
-            spec.commIsReduce = false;
-            spec.local = GemmWork{gemm.m, gemm.k, gemm.n / chips};
-        }
-    } else { // FSDP: weights move, data stays sharded.
-        if (gemm.pass == Pass::kBackwardWeight) {
-            // W' (m x n here) is reduce-scattered across the ring.
-            spec.commBytes = gemm.m * gemm.n * e;
-            spec.commIsReduce = true;
-            spec.local = GemmWork{gemm.m, gemm.k / chips, gemm.n};
-        } else {
-            spec.commBytes = gemm.k * gemm.n * e;
-            spec.commIsReduce = false;
-            spec.local = GemmWork{gemm.m / chips, gemm.k, gemm.n};
-        }
-    }
-    return spec;
-}
-
 double
 utilizationOf(const ChipConfig &cfg, const GemmRunResult &result, int chips)
 {

@@ -317,11 +317,12 @@ main(int argc, char **argv)
     axes.pp = 2;
     axes.dp = 1;
     axes.microBatches = 4;
-    const PipelineCandidate pipe_cand = evaluatePipelineCandidate(
-        tuner, model, train, axes, pcfg, /*simulate=*/true);
-    if (!pipe_cand.feasible || !pipe_cand.hasExplain)
+    PipelineCandidate pipe_cand =
+        evaluatePipelineCandidate(tuner, model, train, axes, pcfg);
+    if (!pipe_cand.feasible)
         fatal("explain_report: pipeline candidate infeasible: %s",
               pipe_cand.reason.c_str());
+    simulatePipelineCandidate(tuner, model, train, pipe_cand, pcfg);
     {
         Scenario s;
         s.name = "pipeline";

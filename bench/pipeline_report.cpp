@@ -63,19 +63,10 @@ simulateAxes(const LlmAutotuner &tuner, const TransformerConfig &model,
              const PipelineTuneConfig &pcfg)
 {
     SimPoint p;
-    p.cand = evaluatePipelineCandidate(tuner, model, train, axes, pcfg,
-                                       /*simulate=*/false);
+    p.cand = evaluatePipelineCandidate(tuner, model, train, axes, pcfg);
     if (!p.cand.feasible)
         return p;
-    const ChipConfig &cfg = tuner.cost().chip();
-    const PipelineExecSpec exec =
-        makeExecSpec(cfg, model, train, p.cand.axes, p.cand.blockFwd,
-                     p.cand.blockBwd, p.cand.axes.tpMesh());
-    Cluster cluster(cfg, p.cand.axes.pp * p.cand.axes.tpDegree());
-    PipelineCluster pc(cluster, p.cand.axes.pp, p.cand.axes.tpRows,
-                       p.cand.axes.tpCols);
-    p.run = runPipeline(pc, exec);
-    p.cand.simTotal = p.run.time + p.cand.estDp;
+    p.run = simulatePipelineCandidate(tuner, model, train, p.cand, pcfg);
     p.ok = true;
     return p;
 }
@@ -344,8 +335,8 @@ studyModel(const LlmAutotuner &tuner, const ModelStudyConfig &mcfg,
         if (cand->simTotal >= 0.0) {
             row.sim = cand->simTotal;
         } else if (!smoke) {
-            const PipelineCandidate sim_cand = evaluatePipelineCandidate(
-                tuner, model, train, cand->axes, pcfg, /*simulate=*/true);
+            PipelineCandidate sim_cand = *cand;
+            simulatePipelineCandidate(tuner, model, train, sim_cand, pcfg);
             row.sim = sim_cand.simTotal;
             rep.maxEstSimRelErr = std::max(
                 rep.maxEstSimRelErr,
@@ -391,12 +382,13 @@ studyModel(const LlmAutotuner &tuner, const ModelStudyConfig &mcfg,
     ref_axes.microBatches = 1;
     ref_axes.tpRows = 1;
     ref_axes.tpCols = mcfg.tpRefChips;
-    const PipelineCandidate ref_cand = evaluatePipelineCandidate(
-        tuner, model, ref_train, ref_axes, pcfg, /*simulate=*/true);
+    PipelineCandidate ref_cand = evaluatePipelineCandidate(
+        tuner, model, ref_train, ref_axes, pcfg);
     if (!ref_cand.feasible)
         fatal("pipeline_report: pp=1 candidate infeasible for %s on %d "
               "chips: %s", model.name.c_str(), mcfg.tpRefChips,
               ref_cand.reason.c_str());
+    simulatePipelineCandidate(tuner, model, ref_train, ref_cand, pcfg);
     const AutotuneResult direct =
         tuner.tune(model, ref_train, mcfg.tpRefChips);
     // Replicate the candidate's span arithmetic from the *independent*

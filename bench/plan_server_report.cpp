@@ -37,21 +37,13 @@
 #include "engine/plan_json.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
+#include "util/math.hpp"
 #include "util/parallel.hpp"
 #include "util/units.hpp"
 
 using namespace meshslice;
 
 namespace {
-
-std::uint64_t
-splitmix64(std::uint64_t &state)
-{
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
 
 /** Variant v of the benchmark universe: same model/cluster/tune base,
  *  fault profile differing only in the robust scenario seed — the
@@ -96,8 +88,7 @@ zipfianMix(int universe, int length, std::uint64_t seed)
     mix.reserve(static_cast<size_t>(length));
     std::uint64_t state = seed;
     for (int n = 0; n < length; ++n) {
-        const double r = static_cast<double>(splitmix64(state) >> 11) *
-                         (1.0 / 9007199254740992.0) * total;
+        const double r = uniform01(state) * total;
         int pick = universe - 1;
         for (int i = 0; i < universe; ++i) {
             if (r < cumulative[static_cast<size_t>(i)]) {

@@ -383,14 +383,14 @@ timedTask(TorusMesh &mesh, const GemmSchedule &sched, const GemmStep &step,
       }
       case StepKind::kPanel: {
         const bool is_reduce = step.op == CollKind::kReduceScatter;
-        const int iter = step.lo;
         const int ring = dir == Dir::kHorizontal ? mesh.cols() : mesh.rows();
-        return [&mesh, state, dir, is_reduce, iter, bytes,
+        const int root = summaPanelOwner(step.lo, ring, sched.slices);
+        return [&mesh, state, dir, is_reduce, root, bytes,
                 ring](std::function<void()> done) {
             const ChipConfig &c = mesh.cluster().config();
             const int hops =
                 c.bidirectionalIci ? std::max(1, ring / 2) : ring - 1;
-            meshBroadcastReduce(mesh, dir, is_reduce, iter, bytes,
+            meshBroadcastReduce(mesh, dir, is_reduce, root, bytes,
                                 optimalPacketCount(c, hops, bytes),
                                 statsSink(state, dir, std::move(done)));
         };

@@ -156,34 +156,34 @@ scheduleSumma(GemmSchedule &g, const ChipConfig &cfg)
     }
 
     // Pipelined: per-direction bcast chains run ahead; compute group k
-    // waits for its panels; reduce iteration `it` waits for the group
-    // that produced it.
+    // waits for both directions' panels of each of its iterations;
+    // reduce iteration `it` waits for the group that computed it.
     int prev_comm[2] = {-1, -1};
-    std::vector<int> pre_last(static_cast<size_t>(p_iter), -1);
+    std::vector<std::vector<int>> bcasts(static_cast<size_t>(p_iter));
     for (int it = 0; it < p_iter; ++it)
         for (int i = 0; i < 2; ++i)
             if (!is_reduce(i))
-                pre_last[static_cast<size_t>(it)] = prev_comm[i] =
-                    add(g, panel(i, it), {prev_comm[i]});
+                bcasts[static_cast<size_t>(it)].push_back(
+                    prev_comm[i] = add(g, panel(i, it), {prev_comm[i]}));
     int prev_comp = -1;
-    std::vector<int> comp_of_group(static_cast<size_t>(s_count), -1);
+    std::vector<int> comp_of_iter(static_cast<size_t>(p_iter), -1);
     for (int k = 0; k < s_count; ++k) {
         std::vector<int> deps{prev_comp};
         for (int it = group_lo(k); it < group_lo(k + 1); ++it)
-            deps.push_back(pre_last[static_cast<size_t>(it)]);
-        comp_of_group[static_cast<size_t>(k)] = prev_comp =
-            add(g, gemm(group_lo(k), group_lo(k + 1)), deps);
+            deps.insert(deps.end(), bcasts[static_cast<size_t>(it)].begin(),
+                        bcasts[static_cast<size_t>(it)].end());
+        prev_comp = add(g, gemm(group_lo(k), group_lo(k + 1)), deps);
+        for (int it = group_lo(k); it < group_lo(k + 1); ++it)
+            comp_of_iter[static_cast<size_t>(it)] = prev_comp;
     }
     int prev_post[2] = {-1, -1};
-    for (int it = 0; it < p_iter; ++it) {
-        const int k = std::min(s_count - 1, it * s_count / p_iter);
+    for (int it = 0; it < p_iter; ++it)
         for (int i = 0; i < 2; ++i)
             if (is_reduce(i))
                 prev_post[i] =
                     add(g, panel(i, it),
-                        {comp_of_group[static_cast<size_t>(k)],
+                        {comp_of_iter[static_cast<size_t>(it)],
                          prev_post[i]});
-    }
 }
 
 /**
@@ -522,7 +522,7 @@ class FunctionalRun
     std::pair<int, std::int64_t>
     panelOwner(Dir d, std::int64_t width, int it, std::int64_t shard) const
     {
-        const int owner = it * ringSize(d) / sched_.slices;
+        const int owner = summaPanelOwner(it, ringSize(d), sched_.slices);
         return {owner, it * width - owner * shard};
     }
 

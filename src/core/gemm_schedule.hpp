@@ -78,6 +78,15 @@ struct GemmSchedule
 GemmSchedule makeGemmSchedule(Algorithm algo, const Gemm2DSpec &spec,
                               const ChipConfig &cfg);
 
+/** The ring position that owns SUMMA panel @p it of @p panels
+ *  (= the schedule's `slices`) on a ring of @p ring chips: the root of
+ *  its broadcast or reduce in both interpreters. */
+inline int
+summaPanelOwner(int it, int ring, int panels)
+{
+    return it * ring / panels;
+}
+
 /** The per-chip bytes the timed interpreter charges for @p step. */
 Bytes chargedBytesPerChip(const GemmSchedule &sched, const GemmStep &step);
 

@@ -168,6 +168,14 @@ struct Gemm1DSpec
     }
 };
 
+/**
+ * The forward-pass 1D baseline (Sec 4.3) of a 2D GeMM spec on a ring
+ * of all its chips: 1D TP all-gathers the (m x k) activations and
+ * shards n, FSDP all-gathers the (k x n) weights and shards m. The
+ * slice count carries over.
+ */
+Gemm1DSpec to1DSpec(const Gemm2DSpec &spec, Algorithm algo);
+
 /** The 1D analogue of `validateSpec(Gemm2DSpec)` (used by
  *  `runGemm1D`). */
 void validateSpec(const Gemm1DSpec &spec);

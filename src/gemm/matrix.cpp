@@ -22,18 +22,9 @@ Matrix
 Matrix::random(std::int64_t rows, std::int64_t cols, std::uint64_t seed)
 {
     Matrix m(rows, cols);
-    // SplitMix64: deterministic across platforms.
     std::uint64_t state = seed;
-    for (auto &v : m.data_) {
-        state += 0x9e3779b97f4a7c15ULL;
-        std::uint64_t z = state;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        z ^= z >> 31;
-        v = static_cast<float>(static_cast<double>(z >> 11) /
-                                   9007199254740992.0 * 2.0 -
-                               1.0);
-    }
+    for (auto &v : m.data_)
+        v = static_cast<float>(uniform01(state) * 2.0 - 1.0);
     return m;
 }
 

@@ -132,4 +132,23 @@ nonFcBlockTime(const ChipConfig &cfg, const TransformerConfig &model,
     return attn_time + elem_time;
 }
 
+Gemm1DSpec
+make1DSpec(const FcGemm &gemm, Algorithm algo, int chips,
+           int bytes_per_element)
+{
+    Gemm2DSpec ring;
+    ring.m = gemm.m;
+    ring.k = gemm.k;
+    ring.n = gemm.n;
+    ring.cols = chips;
+    ring.bytesPerElement = bytes_per_element;
+    Gemm1DSpec spec = to1DSpec(ring, algo);
+    if (gemm.pass == Pass::kBackwardWeight) {
+        spec.commBytes = gemm.m * gemm.n * Bytes{bytes_per_element};
+        spec.commIsReduce = true;
+        spec.local = GemmWork{gemm.m, gemm.k / chips, gemm.n};
+    }
+    return spec;
+}
+
 } // namespace meshslice

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "core/spec.hpp"
 #include "hw/chip_config.hpp"
 #include "util/units.hpp"
 
@@ -99,6 +100,15 @@ struct FcGemm
  */
 std::vector<FcGemm> blockFcGemms(const TransformerConfig &model,
                                  const TrainingConfig &train);
+
+/**
+ * The 1D baseline spec of one FC GeMM on a ring of @p chips (Sec 4.3):
+ * `to1DSpec`'s forward and backward-data form, except that the
+ * backward-weight pass of both baselines reduce-scatters the (m x n)
+ * weight gradient and shards k.
+ */
+Gemm1DSpec make1DSpec(const FcGemm &gemm, Algorithm algo, int chips,
+                      int bytes_per_element);
 
 /**
  * The distinct GeMM shapes among `blockFcGemms` (transpose-equivalent

@@ -750,34 +750,7 @@ class ShiftOp : public RingOpBase
 
 void
 ringAllGather(Cluster &cluster, const Ring &ring, Bytes shard_bytes,
-              int lane, CommDone done)
-{
-    if (ring.size() <= 1 || shard_bytes <= 0) {
-        completeEmpty(cluster, std::move(done));
-        return;
-    }
-    new ShardCollectiveOp(cluster, ring, shard_bytes, 1.0, lane,
-                          "allgather", std::move(done));
-}
-
-void
-ringReduceScatter(Cluster &cluster, const Ring &ring, Bytes shard_bytes,
-                  int lane, CommDone done)
-{
-    if (ring.size() <= 1 || shard_bytes <= 0) {
-        completeEmpty(cluster, std::move(done));
-        return;
-    }
-    // Accumulation at the destination reads the partial sum back, hence
-    // the doubled destination-HBM demand.
-    new ShardCollectiveOp(cluster, ring, shard_bytes, 2.0, lane,
-                          "reducescatter", std::move(done));
-}
-
-void
-ringAllGatherRecoverable(Cluster &cluster, const Ring &ring,
-                         Bytes shard_bytes, int lane, CommDone done,
-                         CommFail fail)
+              int lane, CommDone done, CommFail fail)
 {
     if (ring.size() <= 1 || shard_bytes <= 0) {
         completeEmpty(cluster, std::move(done));
@@ -788,14 +761,15 @@ ringAllGatherRecoverable(Cluster &cluster, const Ring &ring,
 }
 
 void
-ringReduceScatterRecoverable(Cluster &cluster, const Ring &ring,
-                             Bytes shard_bytes, int lane, CommDone done,
-                             CommFail fail)
+ringReduceScatter(Cluster &cluster, const Ring &ring, Bytes shard_bytes,
+                  int lane, CommDone done, CommFail fail)
 {
     if (ring.size() <= 1 || shard_bytes <= 0) {
         completeEmpty(cluster, std::move(done));
         return;
     }
+    // Accumulation at the destination reads the partial sum back, hence
+    // the doubled destination-HBM demand.
     new ShardCollectiveOp(cluster, ring, shard_bytes, 2.0, lane,
                           "reducescatter", std::move(done),
                           std::move(fail));
@@ -809,11 +783,11 @@ startShardCollective(Cluster &cluster, RingCollectiveKind kind,
                      CommDone done, CommFail fail)
 {
     if (kind == RingCollectiveKind::kAllGather)
-        ringAllGatherRecoverable(cluster, ring, shard_bytes, lane,
-                                 std::move(done), std::move(fail));
+        ringAllGather(cluster, ring, shard_bytes, lane, std::move(done),
+                      std::move(fail));
     else
-        ringReduceScatterRecoverable(cluster, ring, shard_bytes, lane,
-                                     std::move(done), std::move(fail));
+        ringReduceScatter(cluster, ring, shard_bytes, lane, std::move(done),
+                          std::move(fail));
 }
 
 } // namespace

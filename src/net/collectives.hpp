@@ -86,18 +86,28 @@ using CommFail = std::function<void(const CollectiveError &)>;
  * AllGather on @p ring: every chip contributes @p shard_bytes and ends
  * with all P shards. Completion (with stats) via @p done.
  * @p lane is the trace lane (kLaneHorizontalComm / kLaneVerticalComm).
+ *
+ * Fail-stop awareness: with a non-null @p fail, when the fault
+ * scenario **kills** a chip or link the op depends on, the op aborts
+ * `detectionLatency` seconds after the kill — cancelling its in-flight
+ * transfers and pending steps — and reports a `CollectiveError`
+ * through @p fail instead of stranding flows until the watchdog. With
+ * a null @p fail (or a scenario without kills) behaviour is unchanged,
+ * including bit-identical event sequences.
  */
 void ringAllGather(Cluster &cluster, const Ring &ring, Bytes shard_bytes,
-                   int lane, CommDone done);
+                   int lane, CommDone done, CommFail fail = {});
 
 /**
  * ReduceScatter on @p ring: every chip contributes a @p shard_bytes * P
  * partial buffer and ends with one reduced shard of @p shard_bytes.
  * Identical communication pattern (and cost) to AllGather, plus the
- * accumulation's extra HBM read at each step's destination.
+ * accumulation's extra HBM read at each step's destination; @p fail as
+ * in `ringAllGather`.
  */
 void ringReduceScatter(Cluster &cluster, const Ring &ring,
-                       Bytes shard_bytes, int lane, CommDone done);
+                       Bytes shard_bytes, int lane, CommDone done,
+                       CommFail fail = {});
 
 /**
  * SUMMA-style pipelined broadcast of @p total_bytes from ring position
@@ -125,24 +135,6 @@ void ringAllReduce(Cluster &cluster, const Ring &ring, Bytes total_bytes,
  */
 void ringShift(Cluster &cluster, const Ring &ring, Bytes block_bytes,
                bool forward, int lane, CommDone done);
-
-/**
- * Fail-stop-aware AllGather: like `ringAllGather`, but when the fault
- * scenario **kills** a chip or link the op depends on, the op aborts
- * `detectionLatency` seconds after the kill — cancelling its in-flight
- * transfers and pending steps — and reports a `CollectiveError`
- * through @p fail instead of stranding flows until the watchdog. With
- * a null @p fail (or a scenario without kills) behaviour is identical
- * to `ringAllGather`, including bit-identical event sequences.
- */
-void ringAllGatherRecoverable(Cluster &cluster, const Ring &ring,
-                              Bytes shard_bytes, int lane, CommDone done,
-                              CommFail fail);
-
-/** Fail-stop-aware ReduceScatter (see `ringAllGatherRecoverable`). */
-void ringReduceScatterRecoverable(Cluster &cluster, const Ring &ring,
-                                  Bytes shard_bytes, int lane,
-                                  CommDone done, CommFail fail);
 
 /** Which shard collective `runRecoverableCollective` should run. */
 enum class RingCollectiveKind

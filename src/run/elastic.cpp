@@ -54,41 +54,6 @@ chipOfKillPattern(const std::string &pattern, int chips)
     return chip;
 }
 
-/** m, k and n all divide both axes of @p shape — the precondition for
- *  exact operand re-shard plans and functional scatter. */
-bool
-fullyDivides(const Gemm2DSpec &spec, MeshShape shape)
-{
-    return spec.m % shape.rows == 0 && spec.m % shape.cols == 0 &&
-           spec.k % shape.rows == 0 && spec.k % shape.cols == 0 &&
-           spec.n % shape.rows == 0 && spec.n % shape.cols == 0;
-}
-
-/** Forward-pass 1D spec of a 2D GeMM spec (same construction as the
- *  fault study's): activations move for 1D TP, weights for FSDP. */
-Gemm1DSpec
-to1DSpec(const Gemm2DSpec &spec, Algorithm algo)
-{
-    Gemm1DSpec s;
-    s.m = spec.m;
-    s.k = spec.k;
-    s.n = spec.n;
-    s.chips = spec.chips();
-    s.sliceCount = spec.sliceCount;
-    s.bytesPerElement = spec.bytesPerElement;
-    const Bytes e = spec.bytesPerElement;
-    if (algo == Algorithm::kOneDTP) {
-        s.commBytes = spec.m * spec.k * e;
-        s.commIsReduce = false;
-        s.local = GemmWork{spec.m, spec.k, spec.n / s.chips};
-    } else { // FSDP
-        s.commBytes = spec.k * spec.n * e;
-        s.commIsReduce = false;
-        s.local = GemmWork{spec.m / s.chips, spec.k, spec.n};
-    }
-    return s;
-}
-
 /** Closed-form checkpoint span matching `runCheckpoint` when nothing
  *  else contends: per-chip rate = min(HBM, target/chips). */
 Time
@@ -497,15 +462,14 @@ validateElasticConfig(const ElasticRunConfig &run, int chips0)
                       "from the checkpoint target — "
                       "checkpointTargetBandwidth must be positive when "
                       "the scenario kills a chip");
-            if (!fullyDivides(run.spec,
-                              MeshShape{run.spec.rows, run.spec.cols}))
+            if (!shapeFeasible(run.spec, run.spec.rows, run.spec.cols))
                 fatal("runElastic: fail-stop recovery re-shards all "
                       "three operands exactly, so m, k and n must "
                       "divide both mesh axes");
         }
     }
     if (run.functionalState &&
-        !fullyDivides(run.spec, MeshShape{run.spec.rows, run.spec.cols}))
+        !shapeFeasible(run.spec, run.spec.rows, run.spec.cols))
         fatal("runElastic: functional state scatters A, B and W, so m, "
               "k and n must divide both mesh axes");
 }
@@ -700,23 +664,11 @@ runElastic(const ChipConfig &cfg, const ElasticRunConfig &run)
         const CostModel cost = CostModel::calibrated(cfg);
         const ReplanResult rp = replanAfterFailure(
             cost, post_algo, spec_cur, dead, run.steps - last_ckpt_step);
-        int pick = -1;
-        for (size_t i = 0; i < rp.candidates.size(); ++i) {
-            const ReplanCandidate &cand = rp.candidates[i];
-            if (!cand.feasible ||
-                !fullyDivides(spec_cur, cand.mesh.to()))
-                continue;
-            if (pick < 0 ||
-                cand.objective <
-                    rp.candidates[static_cast<size_t>(pick)].objective)
-                pick = static_cast<int>(i);
-        }
-        if (pick < 0)
+        if (!rp.feasible())
             fatal("runElastic: no survivor mesh of %dx%d can host the "
                   "run after chip %d died", spec_cur.rows, spec_cur.cols,
                   dead);
-        const ReplanCandidate &cand =
-            rp.candidates[static_cast<size_t>(pick)];
+        const ReplanCandidate &cand = rp.picked();
         const SurvivorMesh sv = cand.mesh;
         survivor_step_est = cand.stepTime;
         survivor_reshard_est = cand.reshardTime;

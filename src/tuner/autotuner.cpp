@@ -125,32 +125,23 @@ makeSpec(const FcGemm &gemm, Dataflow df, int rows, int cols,
 }
 
 bool
-shapeFeasible(const FcGemm &gemm, int rows, int cols)
+shapeFeasible(const std::vector<FcGemm> &gemms, int rows, int cols)
 {
-    for (std::int64_t dim : {gemm.m, gemm.k, gemm.n})
-        if (dim % rows != 0 || dim % cols != 0)
-            return false;
-    return true;
-}
-
-AutotuneResult
-LlmAutotuner::tune(const TransformerConfig &model,
-                   const TrainingConfig &train, int chips,
-                   bool optimize_dataflow) const
-{
-    return tuneForAlgorithm(Algorithm::kMeshSlice, model, train, chips,
-                            optimize_dataflow);
+    return std::all_of(gemms.begin(), gemms.end(), [&](const FcGemm &g) {
+        return shapeFeasible(g, rows, cols);
+    });
 }
 
 namespace {
 
-/** Phase 1: dataflow and sharding per FC layer. */
+/** Phase 1: dataflow and sharding per FC layer of @p gemms (a block's
+ *  `blockFcGemms`). */
 std::vector<FcLayerPlan>
-buildPhase1(Algorithm algo, const TransformerConfig &model,
-            const TrainingConfig &train, bool optimize_dataflow)
+buildPhase1(Algorithm algo, const std::vector<FcGemm> &gemms,
+            bool optimize_dataflow)
 {
     std::vector<FcLayerPlan> layers;
-    for (const FcGemm &gemm : blockFcGemms(model, train)) {
+    for (const FcGemm &gemm : gemms) {
         if (gemm.pass != Pass::kForward)
             continue;
         FcLayerPlan layer;
@@ -169,52 +160,6 @@ buildPhase1(Algorithm algo, const TransformerConfig &model,
     }
     return layers;
 }
-
-} // namespace
-
-AutotuneResult
-LlmAutotuner::tuneForAlgorithm(Algorithm algo,
-                               const TransformerConfig &model,
-                               const TrainingConfig &train, int chips,
-                               bool optimize_dataflow) const
-{
-    return tunePhase2(
-        algo, buildPhase1(algo, model, train, optimize_dataflow), chips);
-}
-
-AutotuneResult
-LlmAutotuner::planAtShape(Algorithm algo, const TransformerConfig &model,
-                          const TrainingConfig &train, int rows, int cols,
-                          bool optimize_dataflow, int force_s) const
-{
-    AutotuneResult out;
-    out.rows = rows;
-    out.cols = cols;
-    out.layers = buildPhase1(algo, model, train, optimize_dataflow);
-    out.blockFcTime = 0.0;
-    for (FcLayerPlan &layer : out.layers) {
-        for (GemmPlan &plan : layer.passes) {
-            if (!shapeFeasible(plan.gemm, rows, cols))
-                panic("planAtShape: %dx%d does not divide GeMM %s", rows,
-                      cols, plan.gemm.name.c_str());
-            Gemm2DSpec spec = makeSpec(plan.gemm, plan.dataflow, rows,
-                                       cols);
-            if (force_s > 0) {
-                spec.sliceCount = force_s;
-                plan.sliceCount = force_s;
-                plan.estTime = cost_.estimateGemmTime(algo, spec);
-            } else {
-                auto [s, t] = cost_.tuneSliceCount(algo, spec);
-                plan.sliceCount = s;
-                plan.estTime = t;
-            }
-            out.blockFcTime += plan.estTime;
-        }
-    }
-    return out;
-}
-
-namespace {
 
 /** One phase-2 candidate's tuned plan, without the layers deep copy. */
 struct ShapeEval
@@ -248,99 +193,52 @@ traceShapeCandidate(Algorithm algo, int chips, int rows, int cols,
 } // namespace
 
 AutotuneResult
-LlmAutotuner::tunePhase2(Algorithm algo, std::vector<FcLayerPlan> layers,
-                         int chips) const
+LlmAutotuner::tune(const TransformerConfig &model,
+                   const TrainingConfig &train, int chips,
+                   bool optimize_dataflow) const
 {
-    // Feasibility pre-check (cheap, serial): collect the candidate
-    // mesh shapes, breaking out of the pass scan on the first
-    // non-dividing GeMM instead of evaluating all 12.
-    std::vector<std::pair<int, int>> shapes;
-    for (auto [rows, cols] : meshShapesOf(chips)) {
-        if (algo == Algorithm::kCannon && rows != cols)
-            continue;
-        bool feasible = true;
-        for (const FcLayerPlan &layer : layers) {
-            for (const GemmPlan &plan : layer.passes) {
-                if (!shapeFeasible(plan.gemm, static_cast<int>(rows),
-                                   static_cast<int>(cols))) {
-                    feasible = false;
-                    break;
-                }
-            }
-            if (!feasible)
-                break;
-        }
-        if (feasible)
-            shapes.emplace_back(static_cast<int>(rows),
-                                static_cast<int>(cols));
-        else if (SearchTrace::global().enabled())
-            traceShapeCandidate(algo, chips, static_cast<int>(rows),
-                                static_cast<int>(cols),
-                                /*feasible=*/false, 1e300);
-    }
-    if (shapes.empty())
-        panic("LlmAutotuner: no feasible mesh shape for %d chips", chips);
+    return tuneForAlgorithm(Algorithm::kMeshSlice, model, train, chips,
+                            optimize_dataflow);
+}
 
-    // Evaluate candidates in parallel. Each evaluation only records
-    // the tuned (S, time) pairs — the layers vector is *not* copied
-    // per shape; the winner's copy is materialized once at the end.
-    // Trace records ("slice" lines of the inner search plus the
-    // "shape" line) are buffered per candidate and flushed in serial
-    // index order below, so the trace file is byte-identical to a
-    // MESHSLICE_THREADS=1 run.
-    const bool tracing = SearchTrace::global().enabled();
-    std::vector<SearchTraceCapture> captures(tracing ? shapes.size() : 0);
-    std::vector<ShapeEval> evals(shapes.size());
-    parallelFor(static_cast<std::int64_t>(shapes.size()), 1,
-                [&](std::int64_t begin, std::int64_t end) {
-        for (std::int64_t idx = begin; idx < end; ++idx) {
-            ShapeEval ev;
-            ev.rows = shapes[static_cast<size_t>(idx)].first;
-            ev.cols = shapes[static_cast<size_t>(idx)].second;
-            ev.blockFcTime = 0.0;
-            std::optional<SearchTraceCapture::Scope> scope;
-            if (tracing)
-                scope.emplace(captures[static_cast<size_t>(idx)]);
-            for (const FcLayerPlan &layer : layers) {
-                for (const GemmPlan &plan : layer.passes) {
-                    const Gemm2DSpec spec = makeSpec(
-                        plan.gemm, plan.dataflow, ev.rows, ev.cols);
-                    auto [s, t] = cost_.tuneSliceCount(algo, spec);
-                    ev.perGemm.emplace_back(s, t);
-                    ev.blockFcTime += t; // 1e300 == out of memory
-                }
-            }
-            if (tracing)
-                traceShapeCandidate(algo, chips, ev.rows, ev.cols,
-                                    /*feasible=*/true, ev.blockFcTime);
-            evals[static_cast<size_t>(idx)] = std::move(ev);
-        }
-    });
-    // Serial, index-ordered fold (meshShapesOf order = increasing
-    // rows): ties keep the earliest candidate — lowest rows first — so
-    // the result is bit-identical to the serial loop for any
-    // MESHSLICE_THREADS.
-    ShapeEval best;
-    for (size_t i = 0; i < evals.size(); ++i) {
-        if (tracing)
-            captures[i].flushToGlobal();
-        if (evals[i].blockFcTime < best.blockFcTime)
-            best = std::move(evals[i]);
-    }
-    if (best.blockFcTime >= 1e300)
-        panic("LlmAutotuner: no feasible mesh shape for %d chips", chips);
+AutotuneResult
+LlmAutotuner::tuneForAlgorithm(Algorithm algo,
+                               const TransformerConfig &model,
+                               const TrainingConfig &train, int chips,
+                               bool optimize_dataflow) const
+{
+    return std::move(
+        rankShapes(algo, model, train, chips, 1, optimize_dataflow).front());
+}
 
+AutotuneResult
+LlmAutotuner::planAtShape(Algorithm algo, const TransformerConfig &model,
+                          const TrainingConfig &train, int rows, int cols,
+                          bool optimize_dataflow, int force_s) const
+{
+    const std::vector<FcGemm> gemms = blockFcGemms(model, train);
+    if (!shapeFeasible(gemms, rows, cols))
+        panic("planAtShape: %dx%d does not divide the block's GeMMs", rows,
+              cols);
     AutotuneResult out;
-    out.rows = best.rows;
-    out.cols = best.cols;
-    out.blockFcTime = best.blockFcTime;
-    out.layers = std::move(layers); // the only layers copy/move
-    size_t g = 0;
+    out.rows = rows;
+    out.cols = cols;
+    out.layers = buildPhase1(algo, gemms, optimize_dataflow);
+    out.blockFcTime = 0.0;
     for (FcLayerPlan &layer : out.layers) {
         for (GemmPlan &plan : layer.passes) {
-            plan.sliceCount = best.perGemm[g].first;
-            plan.estTime = best.perGemm[g].second;
-            ++g;
+            Gemm2DSpec spec = makeSpec(plan.gemm, plan.dataflow, rows,
+                                       cols);
+            if (force_s > 0) {
+                spec.sliceCount = force_s;
+                plan.sliceCount = force_s;
+                plan.estTime = cost_.estimateGemmTime(algo, spec);
+            } else {
+                auto [s, t] = cost_.tuneSliceCount(algo, spec);
+                plan.sliceCount = s;
+                plan.estTime = t;
+            }
+            out.blockFcTime += plan.estTime;
         }
     }
     return out;
@@ -353,88 +251,89 @@ LlmAutotuner::rankShapes(Algorithm algo, const TransformerConfig &model,
 {
     if (k <= 0)
         fatal("LlmAutotuner::rankShapes: k must be positive (got %d)", k);
-    const std::vector<FcLayerPlan> layers =
-        buildPhase1(algo, model, train, optimize_dataflow);
+    const std::vector<FcGemm> gemms = blockFcGemms(model, train);
+    std::vector<FcLayerPlan> layers =
+        buildPhase1(algo, gemms, optimize_dataflow);
 
+    // Feasibility pre-check (cheap, serial): shapes that do not divide
+    // every GeMM are traced here, ahead of the evaluated ones.
+    const bool tracing = SearchTrace::global().enabled();
     std::vector<std::pair<int, int>> shapes;
-    for (auto [rows, cols] : meshShapesOf(chips)) {
+    for (auto [r, c] : meshShapesOf(chips)) {
+        const int rows = static_cast<int>(r);
+        const int cols = static_cast<int>(c);
         if (algo == Algorithm::kCannon && rows != cols)
             continue;
-        bool feasible = true;
-        for (const FcLayerPlan &layer : layers) {
-            for (const GemmPlan &plan : layer.passes)
-                if (!shapeFeasible(plan.gemm, static_cast<int>(rows),
-                                   static_cast<int>(cols))) {
-                    feasible = false;
-                    break;
-                }
-            if (!feasible)
-                break;
-        }
-        if (feasible)
-            shapes.emplace_back(static_cast<int>(rows),
-                                static_cast<int>(cols));
+        if (shapeFeasible(gemms, rows, cols))
+            shapes.emplace_back(rows, cols);
+        else if (tracing)
+            traceShapeCandidate(algo, chips, rows, cols,
+                                /*feasible=*/false, 1e300);
     }
-    if (shapes.empty())
-        panic("LlmAutotuner: no feasible mesh shape for %d chips", chips);
 
-    // Evaluate every candidate (deterministically indexed, so the
-    // parallel fill is bit-identical to the serial loop). The inner
-    // search's "slice" trace records are buffered per candidate and
-    // flushed in index order for a deterministic trace file.
-    const bool tracing = SearchTrace::global().enabled();
+    // Evaluate candidates in parallel. Each evaluation only records
+    // the tuned (S, time) pairs; the layers are copied once per
+    // returned plan at the end. Trace records (the inner search's
+    // "slice" lines plus the "shape" line) are buffered per candidate
+    // and flushed in index order, so the trace file is byte-identical
+    // to a MESHSLICE_THREADS=1 run.
     std::vector<SearchTraceCapture> captures(tracing ? shapes.size() : 0);
     std::vector<ShapeEval> evals(shapes.size());
     parallelFor(static_cast<std::int64_t>(shapes.size()), 1,
                 [&](std::int64_t begin, std::int64_t end) {
-                    for (std::int64_t i = begin; i < end; ++i) {
-                        ShapeEval ev;
-                        ev.rows = shapes[static_cast<size_t>(i)].first;
-                        ev.cols = shapes[static_cast<size_t>(i)].second;
-                        ev.blockFcTime = 0.0;
-                        std::optional<SearchTraceCapture::Scope> scope;
-                        if (tracing)
-                            scope.emplace(
-                                captures[static_cast<size_t>(i)]);
-                        for (const FcLayerPlan &layer : layers)
-                            for (const GemmPlan &plan : layer.passes) {
-                                const Gemm2DSpec spec =
-                                    makeSpec(plan.gemm, plan.dataflow,
-                                             ev.rows, ev.cols);
-                                auto [s, t] =
-                                    cost_.tuneSliceCount(algo, spec);
-                                ev.perGemm.emplace_back(s, t);
-                                ev.blockFcTime += t;
-                            }
-                        evals[static_cast<size_t>(i)] = std::move(ev);
-                    }
-                });
+        for (std::int64_t idx = begin; idx < end; ++idx) {
+            const size_t i = static_cast<size_t>(idx);
+            ShapeEval ev;
+            ev.rows = shapes[i].first;
+            ev.cols = shapes[i].second;
+            ev.blockFcTime = 0.0;
+            std::optional<SearchTraceCapture::Scope> scope;
+            if (tracing)
+                scope.emplace(captures[i]);
+            for (const FcLayerPlan &layer : layers) {
+                for (const GemmPlan &plan : layer.passes) {
+                    const Gemm2DSpec spec = makeSpec(
+                        plan.gemm, plan.dataflow, ev.rows, ev.cols);
+                    auto [s, t] = cost_.tuneSliceCount(algo, spec);
+                    ev.perGemm.emplace_back(s, t);
+                    ev.blockFcTime += t; // 1e300 == out of memory
+                }
+            }
+            if (tracing)
+                traceShapeCandidate(algo, chips, ev.rows, ev.cols,
+                                    /*feasible=*/true, ev.blockFcTime);
+            evals[i] = std::move(ev);
+        }
+    });
     for (SearchTraceCapture &cap : captures)
         cap.flushToGlobal();
 
-    // meshShapesOf yields increasing rows; stable sort on time keeps
-    // the lowest-rows candidate first on ties, matching tunePhase2.
-    std::stable_sort(evals.begin(), evals.end(),
-                     [](const ShapeEval &a, const ShapeEval &b) {
-                         return a.blockFcTime < b.blockFcTime;
-                     });
-
+    // Rank by estimated time in k rounds of an index-ordered argmin
+    // (meshShapesOf order = increasing rows), so ties keep the lowest
+    // row count and k = 1 is one pass. Shapes where no slice count fit
+    // in memory (1e300) are never picked; a picked shape is marked the
+    // same way. The last plan takes the layers instead of a copy.
     std::vector<AutotuneResult> out;
-    for (const ShapeEval &ev : evals) {
-        if (static_cast<int>(out.size()) >= k)
+    while (static_cast<int>(out.size()) < k) {
+        ShapeEval *best = nullptr;
+        for (ShapeEval &ev : evals)
+            if (ev.blockFcTime < (best ? best->blockFcTime : 1e300))
+                best = &ev;
+        if (best == nullptr)
             break;
-        if (ev.blockFcTime >= 1e300)
-            continue; // no slice count fit in memory at this shape
         AutotuneResult res;
-        res.rows = ev.rows;
-        res.cols = ev.cols;
-        res.blockFcTime = ev.blockFcTime;
-        res.layers = layers;
+        res.rows = best->rows;
+        res.cols = best->cols;
+        res.blockFcTime = best->blockFcTime;
+        best->blockFcTime = 1e300;
+        res.layers = static_cast<int>(out.size()) + 1 == k
+                         ? std::move(layers)
+                         : layers;
         size_t g = 0;
         for (FcLayerPlan &layer : res.layers)
             for (GemmPlan &plan : layer.passes) {
-                plan.sliceCount = ev.perGemm[g].first;
-                plan.estTime = ev.perGemm[g].second;
+                plan.sliceCount = best->perGemm[g].first;
+                plan.estTime = best->perGemm[g].second;
                 ++g;
             }
         out.push_back(std::move(res));

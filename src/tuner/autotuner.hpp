@@ -12,6 +12,7 @@
 #ifndef MESHSLICE_TUNER_AUTOTUNER_HPP_
 #define MESHSLICE_TUNER_AUTOTUNER_HPP_
 
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -71,8 +72,24 @@ std::vector<GemmPlan> dataflowsForLayer(Stationary st, const FcGemm &fwd);
 Gemm2DSpec makeSpec(const FcGemm &gemm, Dataflow df, int rows, int cols,
                     int slice_count = 1, int bytes_per_element = 2);
 
-/** True if the mesh shape divides all three GeMM dimensions. */
-bool shapeFeasible(const FcGemm &gemm, int rows, int cols);
+/**
+ * The tuners' mesh-shape feasibility test: true if @p rows and @p cols
+ * both divide m, k and n of @p gemm (an `FcGemm` or a `Gemm2DSpec`),
+ * so every dataflow can shard it on that mesh.
+ */
+template <typename Gemm>
+bool
+shapeFeasible(const Gemm &gemm, int rows, int cols)
+{
+    for (std::int64_t dim : {gemm.m, gemm.k, gemm.n})
+        if (dim % rows != 0 || dim % cols != 0)
+            return false;
+    return true;
+}
+
+/** `shapeFeasible` for every GeMM of @p gemms (a block's
+ *  `blockFcGemms`): the phase-2 shape filter. */
+bool shapeFeasible(const std::vector<FcGemm> &gemms, int rows, int cols);
 
 /** The MeshSlice LLM autotuner. */
 class LlmAutotuner
@@ -92,10 +109,10 @@ class LlmAutotuner
                         bool optimize_dataflow = true) const;
 
     /**
-     * Phase 2 for a fixed algorithm and fixed per-GeMM dataflows:
-     * best mesh shape (by summed estimated time) and the per-GeMM
-     * tuned slice counts at that shape. Cannon only considers square
-     * shapes.
+     * Both phases for a fixed algorithm: the head of
+     * `rankShapes(algo, ..., k = 1)`, i.e. the best mesh shape (by
+     * summed estimated time) with the per-GeMM tuned slice counts at
+     * that shape. Cannon only considers square shapes.
      */
     AutotuneResult tuneForAlgorithm(Algorithm algo,
                                     const TransformerConfig &model,
@@ -103,12 +120,15 @@ class LlmAutotuner
                                     bool optimize_dataflow = true) const;
 
     /**
-     * Phase-2 candidate ranking: the top @p k feasible mesh shapes by
-     * nominal estimated block FC time, each returned as a complete
-     * plan (tuned slice counts included). Entry 0 is the shape
-     * `tuneForAlgorithm` would pick. Deterministic order: estimated
-     * time, ties broken by lower row count. Used by the robust tuner
-     * to shortlist candidates for scenario re-evaluation.
+     * The phase-2 search: phase 1, then every mesh shape whose rows
+     * and columns divide every GeMM (`shapeFeasible`) is evaluated
+     * with tuned slice counts, and the top @p k by nominal estimated
+     * block FC time are returned as complete plans. Deterministic
+     * order: estimated time, ties broken by lower row count; entry 0
+     * is what `tuneForAlgorithm` returns. Emits one `"phase":"shape"`
+     * record per candidate shape (pruned ones first) after its inner
+     * `"phase":"slice"` records, byte-identical for any thread count.
+     * The robust and recovery tuners re-rank its shortlist.
      */
     std::vector<AutotuneResult> rankShapes(Algorithm algo,
                                            const TransformerConfig &model,
@@ -130,10 +150,6 @@ class LlmAutotuner
                                int force_s = 0) const;
 
   private:
-    AutotuneResult tunePhase2(Algorithm algo,
-                              std::vector<FcLayerPlan> layers,
-                              int chips) const;
-
     CostModel cost_;
 };
 

@@ -9,38 +9,41 @@ namespace meshslice {
 
 namespace {
 
-/** Analytic per-block FC time for Wang-overlapped 1D TP on a ring. */
+/** Analytic per-block FC time for Wang-overlapped 1D TP on a ring
+ *  (8 slices per GeMM). */
 Time
 oneDBlockTime(const CostModel &cost, const TransformerConfig &model,
               const TrainingConfig &train, int chips)
 {
-    const ChipConfig &cfg = cost.chip();
     Time total = 0.0;
-    const int s_count = 8;
     for (const FcGemm &gemm : blockFcGemms(model, train)) {
-        Bytes comm;
-        GemmWork local;
-        if (gemm.pass == Pass::kBackwardWeight) {
-            comm = gemm.m * gemm.n * cfg.bytesPerElement;
-            local = GemmWork{gemm.m, gemm.k / chips, gemm.n};
-        } else {
-            comm = gemm.m * gemm.k * cfg.bytesPerElement;
-            local = GemmWork{gemm.m, gemm.k, gemm.n / chips};
-        }
-        const Bytes traffic = comm / chips * (chips - 1);
-        const Time t_shift = cost.shiftTime(traffic / s_count);
-        GemmWork sliced = local;
-        if (sliced.m >= sliced.n)
-            sliced.m = std::max<std::int64_t>(1, sliced.m / s_count);
-        else
-            sliced.n = std::max<std::int64_t>(1, sliced.n / s_count);
-        const Time t_c = cost.computeTime(sliced);
-        total += t_shift + (s_count - 1) * std::max(t_shift, t_c) + t_c;
+        Gemm1DSpec spec = make1DSpec(gemm, Algorithm::kOneDTP, chips,
+                                     cost.chip().bytesPerElement);
+        spec.sliceCount = 8;
+        total += estimate1DTime(cost, spec);
     }
     return total;
 }
 
 } // namespace
+
+DpAllReduce
+dpAllReduce(const CostModel &cost, const TransformerConfig &model, int pp,
+            int tp, int dp, double dp_overlap)
+{
+    DpAllReduce out;
+    const double params_per_chip =
+        model.parameterCount() / static_cast<double>(pp * tp);
+    out.bytesPerChip =
+        static_cast<Bytes>(params_per_chip * cost.chip().bytesPerElement);
+    if (dp > 1) {
+        // AllReduce = RdS + AG of (bytes / dp) shards around the DP ring.
+        const Time allreduce =
+            2.0 * cost.collectiveTime(dp, out.bytesPerChip / dp);
+        out.exposed = (1.0 - dp_overlap) * allreduce;
+    }
+    return out;
+}
 
 ClusterStepCost
 estimateClusterStep(const CostModel &cost, const TransformerConfig &model,
@@ -80,18 +83,10 @@ estimateClusterStep(const CostModel &cost, const TransformerConfig &model,
                        (static_cast<double>(microbatches + plan.pp - 1) /
                         static_cast<double>(microbatches));
 
-    // DP gradient all-reduce of each chip's weight shard.
-    const double params_per_chip =
-        model.parameterCount() / static_cast<double>(plan.pp * tp);
-    out.dpBytesPerChip =
-        static_cast<Bytes>(params_per_chip * cfg.bytesPerElement);
-    if (plan.dp > 1) {
-        // AllReduce = RdS + AG of (bytes / dp) shards around the DP ring.
-        const Time allreduce =
-            2.0 * cost.collectiveTime(plan.dp,
-                                      out.dpBytesPerChip / plan.dp);
-        out.dpTime = (1.0 - dp_overlap) * allreduce;
-    }
+    const DpAllReduce dp =
+        dpAllReduce(cost, model, plan.pp, tp, plan.dp, dp_overlap);
+    out.dpBytesPerChip = dp.bytesPerChip;
+    out.dpTime = dp.exposed;
 
     out.stepTime = out.pipelineTime + out.dpTime;
     const double step_flops =

@@ -48,6 +48,24 @@ struct ClusterStepCost
     Bytes dpBytesPerChip = 0; ///< gradient traffic per chip
 };
 
+/** The DP gradient all-reduce of one training step. */
+struct DpAllReduce
+{
+    Bytes bytesPerChip = 0; ///< each chip's weight-gradient shard
+    Time exposed = 0.0;     ///< non-overlapped all-reduce time
+};
+
+/**
+ * The DP term of every step estimate: each chip's gradient shard
+ * (the model's parameters over @p pp stages x @p tp TP chips) is
+ * all-reduced (RdS + AG) around a ring of @p dp replicas, and
+ * @p dp_overlap of it hides behind backward compute. Zero exposed
+ * time for @p dp <= 1.
+ */
+DpAllReduce dpAllReduce(const CostModel &cost,
+                        const TransformerConfig &model, int pp, int tp,
+                        int dp, double dp_overlap);
+
 /**
  * Estimate one training step of @p model under @p plan using the
  * analytical cost models (fast enough for plan sweeps).

@@ -438,4 +438,20 @@ CostModel::tuneSliceCount(Algorithm algo, const Gemm2DSpec &spec) const
     return {best_s, best_t};
 }
 
+Time
+estimate1DTime(const CostModel &cost, const Gemm1DSpec &spec)
+{
+    const Bytes traffic =
+        spec.commBytes / spec.chips * (spec.chips - 1);
+    const Time t_shift = cost.shiftTime(traffic / spec.sliceCount);
+    GemmWork work = spec.localWork();
+    if (work.m >= work.n)
+        work.m = std::max<std::int64_t>(1, work.m / spec.sliceCount);
+    else
+        work.n = std::max<std::int64_t>(1, work.n / spec.sliceCount);
+    const Time t_c = cost.computeTime(work);
+    const Time steady = std::max(t_shift, t_c);
+    return t_shift + (spec.sliceCount - 1) * steady + t_c;
+}
+
 } // namespace meshslice

@@ -122,6 +122,13 @@ class CostModel
     CommCostParams params_;
 };
 
+/**
+ * Analytical estimate of a 1D baseline GeMM (`runGemm1D`): S slices of
+ * ring traffic software-pipelined with S local GeMM slices, so the
+ * steady state runs at the slower of the two.
+ */
+Time estimate1DTime(const CostModel &cost, const Gemm1DSpec &spec);
+
 } // namespace meshslice
 
 #endif // MESHSLICE_TUNER_COST_MODEL_HPP_

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 
+#include "tuner/cluster_plan.hpp"
 #include "tuner/explain.hpp"
 #include "tuner/search_trace.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
+#include "util/math.hpp"
 #include "util/parallel.hpp"
 
 namespace meshslice {
@@ -16,60 +18,6 @@ namespace {
  *  of the three equal-FLOP training GeMMs per FC layer, and the same
  *  1:2 split for the non-FC roofline. */
 constexpr double kFwdShare = 1.0 / 3.0;
-
-/**
- * True when at least one rows x cols factorization of @p tp divides
- * every FC GeMM dimension at the micro-batch size. Mirrors the phase-2
- * feasibility loop so structurally impossible TP degrees (e.g. a
- * factor of 5 against GPT-3's power-of-two-times-three dimensions) are
- * *pruned* with a reason instead of tripping the autotuner's
- * no-feasible-shape panic.
- */
-bool
-anyTpMeshFeasible(const TransformerConfig &model,
-                  const TrainingConfig &micro, int tp)
-{
-    const std::vector<FcGemm> gemms = blockFcGemms(model, micro);
-    for (int rows = 1; rows <= tp; ++rows) {
-        if (tp % rows != 0)
-            continue;
-        const int cols = tp / rows;
-        bool ok = true;
-        for (const FcGemm &gemm : gemms) {
-            if (!shapeFeasible(gemm, rows, cols)) {
-                ok = false;
-                break;
-            }
-        }
-        if (ok)
-            return true;
-    }
-    return false;
-}
-
-Bytes
-dpShardBytesPerChip(const ChipConfig &cfg, const TransformerConfig &model,
-                    const PipelineAxes &axes)
-{
-    const double params_per_chip =
-        model.parameterCount() /
-        static_cast<double>(axes.pp * axes.tpDegree());
-    return static_cast<Bytes>(params_per_chip * cfg.bytesPerElement);
-}
-
-Time
-exposedDpTime(const CostModel &cost, const TransformerConfig &model,
-              const PipelineAxes &axes, double dp_overlap)
-{
-    if (axes.dp <= 1)
-        return 0.0;
-    const Bytes per_chip =
-        dpShardBytesPerChip(cost.chip(), model, axes);
-    // AllReduce = RdS + AG of (bytes / dp) shards around the DP ring.
-    const Time allreduce =
-        2.0 * cost.collectiveTime(axes.dp, per_chip / axes.dp);
-    return (1.0 - dp_overlap) * allreduce;
-}
 
 void
 tracePipelineCandidate(int chips, const PipelineCandidate &cand,
@@ -129,8 +77,7 @@ evaluatePipelineCandidate(const LlmAutotuner &tuner,
                           const TransformerConfig &model,
                           const TrainingConfig &train,
                           const PipelineAxes &axes,
-                          const PipelineTuneConfig &cfg, bool simulate,
-                          StatsRegistry *sim_stats)
+                          const PipelineTuneConfig &cfg)
 {
     const ChipConfig &chip = tuner.cost().chip();
     PipelineCandidate cand;
@@ -144,11 +91,18 @@ evaluatePipelineCandidate(const LlmAutotuner &tuner,
 
     // Phase 1+2 at the micro-batch size: the TP mesh shape and slice
     // counts are co-optimized per candidate (with their own
-    // "phase":"shape" trace records).
+    // "phase":"shape" trace records). A TP degree no mesh shape fits
+    // (e.g. a factor of 5 against power-of-two dimensions) is pruned
+    // with a reason instead of tripping the autotuner's panic.
     TrainingConfig micro = train;
     micro.batch = train.batch / (axes.dp * axes.microBatches);
     const int tp = axes.tpDegree();
-    if (!anyTpMeshFeasible(model, micro, tp)) {
+    const std::vector<FcGemm> gemms = blockFcGemms(model, micro);
+    const auto shapes = meshShapesOf(tp);
+    if (std::none_of(shapes.begin(), shapes.end(), [&](const auto &rc) {
+            return shapeFeasible(gemms, static_cast<int>(rc.first),
+                                 static_cast<int>(rc.second));
+        })) {
         cand.reason = strprintf(
             "tp=%d has no mesh shape dividing the block GeMMs", tp);
         return cand;
@@ -190,33 +144,50 @@ evaluatePipelineCandidate(const LlmAutotuner &tuner,
     const PipelineTimeModel tm =
         timeModelFor(exec, chip, cand.axes.tpRows, cand.axes.tpCols);
     cand.estPipeline = analyticalSpan(program, tm);
-    cand.estDp =
-        exposedDpTime(tuner.cost(), model, cand.axes, cfg.dpOverlap);
+    cand.estDp = dpAllReduce(tuner.cost(), model, cand.axes.pp, tp,
+                             cand.axes.dp, cfg.dpOverlap)
+                     .exposed;
     cand.estTotal = cand.estPipeline + cand.estDp;
     cand.feasible = true;
-
-    if (simulate) {
-        // One pipeline replica is simulated; the DP all-reduce is the
-        // same analytic term on both sides of the comparison.
-        Cluster cluster(chip, axes.pp * tp);
-        if (sim_stats != nullptr)
-            cluster.stats().enable(true);
-        if (cfg.explain)
-            cluster.enableProfiler(true);
-        PipelineCluster pc(cluster, axes.pp, cand.axes.tpRows,
-                           cand.axes.tpCols);
-        const PipelineRunResult run = runPipeline(pc, exec);
-        cand.simTotal = run.time + cand.estDp;
-        if (cfg.explain) {
-            cand.explain = explainGraph(cluster.profiler().nodes());
-            cand.hasExplain = true;
-        }
-        if (sim_stats != nullptr) {
-            cluster.collectResourceStats(cluster.stats());
-            sim_stats->merge(cluster.stats().snapshot());
-        }
-    }
     return cand;
+}
+
+PipelineRunResult
+simulatePipelineCandidate(const LlmAutotuner &tuner,
+                          const TransformerConfig &model,
+                          const TrainingConfig &train,
+                          PipelineCandidate &cand,
+                          const PipelineTuneConfig &cfg,
+                          StatsRegistry *sim_stats)
+{
+    if (!cand.feasible)
+        panic("simulatePipelineCandidate: pp=%d dp=%d m=%d was pruned "
+              "(%s)", cand.axes.pp, cand.axes.dp, cand.axes.microBatches,
+              cand.reason.c_str());
+    const ChipConfig &chip = tuner.cost().chip();
+    const PipelineExecSpec exec =
+        makeExecSpec(chip, model, train, cand.axes, cand.blockFwd,
+                     cand.blockBwd, cand.axes.tpMesh());
+    // One pipeline replica is simulated; the DP all-reduce is the same
+    // analytic term on both sides of the comparison.
+    Cluster cluster(chip, cand.axes.pp * cand.axes.tpDegree());
+    if (sim_stats != nullptr)
+        cluster.stats().enable(true);
+    if (cfg.explain)
+        cluster.enableProfiler(true);
+    PipelineCluster pc(cluster, cand.axes.pp, cand.axes.tpRows,
+                       cand.axes.tpCols);
+    const PipelineRunResult run = runPipeline(pc, exec);
+    cand.simTotal = run.time + cand.estDp;
+    if (cfg.explain) {
+        cand.explain = explainGraph(cluster.profiler().nodes());
+        cand.hasExplain = true;
+    }
+    if (sim_stats != nullptr) {
+        cluster.collectResourceStats(cluster.stats());
+        sim_stats->merge(cluster.stats().snapshot());
+    }
+    return run;
 }
 
 PipelineTuneResult
@@ -270,7 +241,7 @@ tunePipeline(const LlmAutotuner &tuner, const TransformerConfig &model,
                 }
 
                 PipelineCandidate cand = evaluatePipelineCandidate(
-                    tuner, model, train, axes, cfg, /*simulate=*/false);
+                    tuner, model, train, axes, cfg);
                 tracePipelineCandidate(chips, cand, false);
                 if (cand.feasible)
                     result.candidates.push_back(std::move(cand));
@@ -300,37 +271,18 @@ tunePipeline(const LlmAutotuner &tuner, const TransformerConfig &model,
     // Simulate the analytic shortlist concurrently (each candidate on
     // a private cluster), then fold trace records, stats and the pick
     // in serial index order — bit-identical to the serial loop.
+    // Simulation reuses each evaluated plan: nothing is re-tuned.
     const int k = std::min<int>(
         cfg.topK, static_cast<int>(result.candidates.size()));
-    const bool tracing = SearchTrace::global().enabled();
-    std::vector<SearchTraceCapture> captures(
-        tracing ? static_cast<size_t>(k) : 0);
     std::vector<std::vector<StatSnapshot>> cand_stats(
         stats != nullptr ? static_cast<size_t>(k) : 0);
     parallelFor(k, 1, [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t i = begin; i < end; ++i) {
-            PipelineCandidate &cand =
-                result.candidates[static_cast<size_t>(i)];
             StatsRegistry cand_reg;
-            StatsRegistry *sim_stats =
-                stats != nullptr ? &cand_reg : nullptr;
-            if (tracing) {
-                // Buffer this candidate's records (the inner tune's
-                // "slice"/"shape" lines plus our "pipeline" line) for
-                // the serial-order flush below.
-                SearchTraceCapture::Scope scope(
-                    captures[static_cast<size_t>(i)]);
-                cand = evaluatePipelineCandidate(tuner, model, train,
-                                                 cand.axes, cfg,
-                                                 /*simulate=*/true,
-                                                 sim_stats);
-                tracePipelineCandidate(chips, cand, true);
-            } else {
-                cand = evaluatePipelineCandidate(tuner, model, train,
-                                                 cand.axes, cfg,
-                                                 /*simulate=*/true,
-                                                 sim_stats);
-            }
+            simulatePipelineCandidate(
+                tuner, model, train,
+                result.candidates[static_cast<size_t>(i)], cfg,
+                stats != nullptr ? &cand_reg : nullptr);
             if (stats != nullptr)
                 cand_stats[static_cast<size_t>(i)] = cand_reg.snapshot();
         }
@@ -339,14 +291,12 @@ tunePipeline(const LlmAutotuner &tuner, const TransformerConfig &model,
     for (int i = 0; i < k; ++i) {
         const PipelineCandidate &cand =
             result.candidates[static_cast<size_t>(i)];
-        if (tracing) {
-            captures[static_cast<size_t>(i)].flushToGlobal();
-            if (cand.hasExplain)
-                SearchTrace::global().record(explainRecordJson(
-                    "pipeline", Algorithm::kMeshSlice, chips, i,
-                    cand.axes.tpRows, cand.axes.tpCols, cand.simTotal,
-                    cand.explain));
-        }
+        tracePipelineCandidate(chips, cand, true);
+        if (cand.hasExplain && SearchTrace::global().enabled())
+            SearchTrace::global().record(explainRecordJson(
+                "pipeline", Algorithm::kMeshSlice, chips, i,
+                cand.axes.tpRows, cand.axes.tpCols, cand.simTotal,
+                cand.explain));
         if (stats != nullptr)
             stats->merge(cand_stats[static_cast<size_t>(i)],
                          strprintf("pipeline/top%d/", i));

@@ -11,12 +11,14 @@
  * `"phase":"shape"` trace records). Candidates are scored by an
  * analytical model that is *structurally exact*: the longest path over
  * the same pipeline DAG the discrete-event executor runs
- * (`analyticalSpan`), plus the non-overlapped DP gradient all-reduce,
- * with memory-infeasible schedules rejected via the activation-stash
- * model. The top-K shortlist is then ranked by full simulation
- * (`runPipeline`), which is also what guards the model: for every
- * simulated plan the analytical estimate must land within a few
- * percent, or the pipeline report's cross-check fails.
+ * (`analyticalSpan`), plus the non-overlapped DP gradient all-reduce
+ * (`dpAllReduce`, shared with `estimateClusterStep`), with
+ * memory-infeasible schedules rejected via the activation-stash model.
+ * The top-K shortlist is then ranked by full simulation of the
+ * already-evaluated plans (`runPipeline`), which is also what guards
+ * the model: for every simulated plan the analytical estimate must
+ * land within a few percent, or the pipeline report's cross-check
+ * fails.
  *
  * Every candidate — pruned or evaluated — emits a
  * `"phase":"pipeline"` JSONL record through `SearchTrace`, and the
@@ -28,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "pipeline/pipeline_exec.hpp"
 #include "pipeline/stage_model.hpp"
 #include "sim/critical_path.hpp"
 #include "sim/stats.hpp"
@@ -111,9 +114,10 @@ struct PipelineTuneResult
  * The returned candidates' `estTotal` ordering is deterministic (ties
  * broken by lower pp, then dp, then micro-batch count).
  *
- * The top-K simulated re-evaluations run concurrently on the global
- * thread pool (each candidate simulates on a private cluster); their
- * trace records are captured per candidate and flushed in serial index
+ * Every decomposition is evaluated once (`evaluatePipelineCandidate`);
+ * the top-K are then simulated (`simulatePipelineCandidate`)
+ * concurrently on the global thread pool, each on a private cluster,
+ * and their records, stats and the pick are folded in serial index
  * order, so the pick and the SearchTrace file are bit-identical to a
  * `MESHSLICE_THREADS=1` run. When @p stats is non-null each simulated
  * candidate's per-resource accounting is merged under
@@ -126,21 +130,32 @@ PipelineTuneResult tunePipeline(const LlmAutotuner &tuner,
                                 StatsRegistry *stats = nullptr);
 
 /**
- * Analytic + simulated step of ONE fully specified decomposition (the
- * building block of `tunePipeline`, exposed for benches and tests):
- * runs phase 1+2 at the micro-batch size, sizes the stage memory,
- * computes the analytical span and — when @p simulate is set — the
- * simulated span on a fresh pp x tpRows x tpCols cluster. DP cost is
- * added analytically to both sides (one replica is simulated). A
- * non-null @p sim_stats receives the simulated cluster's per-resource
- * accounting (merged after the run; only meaningful with @p simulate).
+ * Analytic step of ONE fully specified decomposition (the building
+ * block of `tunePipeline`, exposed for benches and tests): runs phase
+ * 1+2 at the micro-batch size, sizes the stage memory (falling back to
+ * recompute when the stash does not fit) and computes the analytical
+ * span plus the exposed DP all-reduce (`dpAllReduce`). A pruned
+ * decomposition comes back with `feasible` false and a `reason`.
  */
 PipelineCandidate evaluatePipelineCandidate(const LlmAutotuner &tuner,
                                             const TransformerConfig &model,
                                             const TrainingConfig &train,
                                             const PipelineAxes &axes,
+                                            const PipelineTuneConfig &cfg);
+
+/**
+ * Simulate an evaluated, feasible @p cand on a fresh pp x tpRows x
+ * tpCols cluster, reusing its plan (nothing is re-tuned): sets
+ * `simTotal` (the simulated span plus the same analytic DP term, since
+ * one replica is simulated) and, with `cfg.explain`, the critical-path
+ * analysis. A non-null @p sim_stats receives the cluster's
+ * per-resource accounting. Returns the discrete-event run.
+ */
+PipelineRunResult simulatePipelineCandidate(const LlmAutotuner &tuner,
+                                            const TransformerConfig &model,
+                                            const TrainingConfig &train,
+                                            PipelineCandidate &cand,
                                             const PipelineTuneConfig &cfg,
-                                            bool simulate,
                                             StatsRegistry *sim_stats
                                             = nullptr);
 

@@ -10,27 +10,12 @@
 #include "tuner/search_trace.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
+#include "util/math.hpp"
 #include "util/parallel.hpp"
 
 namespace meshslice {
 
 namespace {
-
-std::uint64_t
-splitmix64(std::uint64_t &state)
-{
-    state += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-double
-uniform01(std::uint64_t &state)
-{
-    return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
-}
 
 void
 traceRobustEval(Algorithm algo, int chips, const RobustCandidate &cand,
@@ -393,25 +378,27 @@ tuneWithRecovery(const LlmAutotuner &tuner, Algorithm algo,
 
 namespace {
 
-/** Does @p algo's mesh partition of @p spec divide evenly on a
- *  `rows x cols` survivor shape? (The sliceCount axis is re-tuned
- *  separately; S=1 always divides.) */
+/** Can the running GeMM move to the survivor shape @p to? Its live
+ *  operands (A, B and C) are re-sharded exactly onto both mesh axes,
+ *  so m, k and n must divide both (`shapeFeasible`); Cannon needs a
+ *  square mesh, and a 1D baseline splits one dimension over the whole
+ *  ring. (S is re-tuned separately; S = 1 always divides.) */
 bool
-meshDivides(Algorithm algo, const Gemm2DSpec &spec, int rows, int cols)
+survivorFits(Algorithm algo, const Gemm2DSpec &spec, MeshShape to)
 {
-    if (algo == Algorithm::kOneDTP)
-        return spec.n % (static_cast<std::int64_t>(rows) * cols) == 0;
-    if (algo == Algorithm::kFsdp)
-        return spec.m % (static_cast<std::int64_t>(rows) * cols) == 0;
-    switch (spec.dataflow) {
-      case Dataflow::kOS:
-        return spec.m % rows == 0 && spec.n % cols == 0;
-      case Dataflow::kLS:
-        return spec.m % rows == 0 && spec.k % cols == 0;
-      case Dataflow::kRS:
-        return spec.k % rows == 0 && spec.n % cols == 0;
+    if (!shapeFeasible(spec, to.rows, to.cols))
+        return false;
+    const std::int64_t ring = std::int64_t{to.rows} * to.cols;
+    switch (algo) {
+      case Algorithm::kCannon:
+        return to.rows == to.cols;
+      case Algorithm::kOneDTP:
+        return spec.n % ring == 0;
+      case Algorithm::kFsdp:
+        return spec.m % ring == 0;
+      default:
+        return true;
     }
-    return false;
 }
 
 void
@@ -494,12 +481,10 @@ replanAfterFailure(const CostModel &cost, Algorithm algo,
         cand.reshardBytes = reshardBytesModel(live_bytes, sv);
         cand.reshardTime = reshardTimeModel(cost.chip(), cand.reshardBytes,
                                             to.rows * to.cols);
-        // Cannon needs a square mesh and a one-line shrink never
-        // preserves squareness from a square start; the elastic runtime
-        // re-plans Cannon runs under a substitute 2D algorithm instead.
-        const bool algo_fits =
-            algo != Algorithm::kCannon || to.rows == to.cols;
-        if (algo_fits && meshDivides(algo, spec, to.rows, to.cols)) {
+        // A one-line shrink never keeps a square mesh square, so Cannon
+        // never fits; the elastic runtime re-plans Cannon runs under a
+        // substitute 2D algorithm instead.
+        if (survivorFits(algo, spec, to)) {
             cand.feasible = true;
             cand.spec = spec;
             cand.spec.rows = to.rows;

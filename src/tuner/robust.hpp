@@ -218,8 +218,11 @@ struct ReplanCandidate
     /** The shrink under consideration (retire the dead chip's row or
      *  column). */
     SurvivorMesh mesh;
-    /** False when the running spec's dimensions don't divide the
-     *  survivor shape — the option is traced but never picked. */
+    /** False when the survivor shape cannot host the running spec:
+     *  m, k and n must divide both of its axes (the live operands are
+     *  re-sharded exactly), Cannon needs a square mesh and a 1D
+     *  baseline a ring that divides its sharded dimension. An
+     *  infeasible option is traced but never picked. */
     bool feasible = false;
     /** The running spec re-fit to the survivor mesh with a re-tuned
      *  slice count. Meaningful iff `feasible`. */
@@ -253,12 +256,14 @@ struct ReplanResult
  * phase 2's shape sweep is replaced by the survivor geometry itself —
  * the only reachable shapes are `survivorOptionsForChip`'s one-row- or
  * one-column-smaller meshes. What is redone is the *ranking*: each
- * feasible option gets a re-tuned slice count (`tuneSliceCount` on the
- * degraded shape) and is charged `reshardTime + remaining_steps *
- * stepTime`, so a cheaper migration can beat a faster degraded mesh
- * when few steps remain and vice versa. Candidates and the pick are
- * emitted through `SearchTrace` as `"phase":"replan"` /
- * `"phase":"replan_pick"` records.
+ * feasible option (`ReplanCandidate::feasible`) gets a re-tuned slice
+ * count (`tuneSliceCount` on the degraded shape) and is charged
+ * `reshardTime + remaining_steps * stepTime`, so a cheaper migration
+ * can beat a faster degraded mesh when few steps remain and vice
+ * versa. The pick (`ReplanResult::picked`) is the feasible option of
+ * least objective, the earlier on ties; it is what the elastic runtime
+ * enacts. Candidates and the pick are emitted through `SearchTrace` as
+ * `"phase":"replan"` / `"phase":"replan_pick"` records.
  */
 ReplanResult replanAfterFailure(const CostModel &cost, Algorithm algo,
                                 const Gemm2DSpec &spec, int dead_chip,

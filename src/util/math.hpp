@@ -1,6 +1,7 @@
 /**
  * @file
- * Small integer-math helpers shared by the sharding and cost-model code.
+ * Small integer-math helpers shared by the sharding and cost-model code,
+ * and the seeded PRNG every deterministic sampler draws from.
  */
 #ifndef MESHSLICE_UTIL_MATH_HPP_
 #define MESHSLICE_UTIL_MATH_HPP_
@@ -40,6 +41,30 @@ std::vector<std::int64_t> divisorsOf(std::int64_t n);
  */
 std::vector<std::pair<std::int64_t, std::int64_t>>
 meshShapesOf(std::int64_t n);
+
+/**
+ * One splitmix64 step: advances @p state and returns the next draw.
+ * Tiny, portable, and — unlike `std::uniform_real_distribution` over a
+ * standard engine — the same stream on every implementation, which
+ * the seeded, bit-identical replays depend on. Inline because
+ * `Matrix::random` draws once per element.
+ */
+inline std::uint64_t
+splitmix64(std::uint64_t &state)
+{
+    state += 0x9e3779b97f4a7c15ULL;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+/** Uniform double in [0, 1) from the top 53 bits of a splitmix64 draw. */
+inline double
+uniform01(std::uint64_t &state)
+{
+    return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
+}
 
 } // namespace meshslice
 

@@ -122,14 +122,7 @@ timedEqualsFunctional(Algorithm algo, Dataflow df, MeshShape mesh, int s,
     const DistMatrix db = DistMatrix::scatter(b, mesh);
     const GemmSchedule sched =
         makeGemmSchedule(algo, functionalSpec(df, da, db, s), cfg);
-    // SUMMA's pipelined schedule has a known ordering gap: a compute
-    // group waits only for the last panel step of each iteration (the
-    // vertical one in OS), and with S not dividing lcm(Pr, Pc) a reduce
-    // can wait for the wrong group. Its timings are pinned as they are,
-    // so only its strictly chained (no-overlap) schedule is checked.
-    if (algo != Algorithm::kSumma || !cfg.allowCollectiveOverlap) {
-        EXPECT_EQ(unorderedReads(sched), 0) << algorithmName(algo);
-    }
+    EXPECT_EQ(unorderedReads(sched), 0) << algorithmName(algo);
 
     Cluster cluster(cfg, mesh.chips());
     TorusMesh torus(cluster, mesh.rows, mesh.cols);

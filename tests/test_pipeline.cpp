@@ -11,13 +11,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <random>
+#include <string>
 
 #include "core/memory_model.hpp"
 #include "gemm/reshard.hpp"
 #include "pipeline/pipeline_exec.hpp"
 #include "pipeline/stage_model.hpp"
 #include "tuner/pipeline_tuner.hpp"
+#include "tuner/search_trace.hpp"
 
 namespace meshslice {
 namespace {
@@ -271,9 +275,10 @@ TEST(PipelineTuner, Pp1ReproducesThe2DAutotunerBitIdentically)
     axes.tpRows = 1;
     axes.tpCols = chips;
     PipelineTuneConfig pcfg;
-    const PipelineCandidate cand = evaluatePipelineCandidate(
-        tuner, model, train, axes, pcfg, /*simulate=*/true);
+    PipelineCandidate cand =
+        evaluatePipelineCandidate(tuner, model, train, axes, pcfg);
     ASSERT_TRUE(cand.feasible) << cand.reason;
+    simulatePipelineCandidate(tuner, model, train, cand, pcfg);
     ASSERT_FALSE(cand.axes.recompute); // tiny stash fits without it
 
     const AutotuneResult direct = tuner.tune(model, train, chips);
@@ -332,6 +337,58 @@ TEST(PipelineTuner, SearchPicksFeasiblePlanAndEstimatesTrackSim)
         EXPECT_FALSE(cand.reason.empty());
 }
 
+TEST(PipelineTuner, EachCandidatesInnerSearchIsTracedOnce)
+{
+    // Every decomposition is evaluated once and the shortlist's
+    // simulations reuse those plans, so the inner phase-2 search's
+    // "slice"/"shape" records of each candidate that reached it appear
+    // exactly once in the trace.
+    const LlmAutotuner tuner(testCost());
+    const TransformerConfig model = tinyModel();
+    const TrainingConfig train = tinyTrain();
+    const std::string path =
+        ::testing::TempDir() + "meshslice_pipeline_inner.jsonl";
+    ASSERT_TRUE(SearchTrace::global().open(path));
+    const PipelineTuneResult result =
+        tunePipeline(tuner, model, train, 8, PipelineTuneConfig{});
+    SearchTrace::global().close();
+
+    std::vector<std::string> got;
+    {
+        std::ifstream in(path);
+        for (std::string line; std::getline(in, line);)
+            if (line.find("\"phase\":\"slice\"") != std::string::npos ||
+                line.find("\"phase\":\"shape\"") != std::string::npos)
+                got.push_back(line);
+    }
+    std::remove(path.c_str());
+
+    // What each candidate's own phase-2 search emits; a candidate
+    // reached it iff it carries a tuned TP plan.
+    std::vector<std::string> want;
+    int searched = 0;
+    for (const auto *list : {&result.candidates, &result.pruned})
+        for (const PipelineCandidate &cand : *list) {
+            if (cand.tpPlan.layers.empty())
+                continue;
+            ++searched;
+            TrainingConfig micro = train;
+            micro.batch =
+                train.batch / (cand.axes.dp * cand.axes.microBatches);
+            SearchTraceCapture cap;
+            {
+                SearchTraceCapture::Scope scope(cap);
+                (void)tuner.tune(model, micro, cand.axes.tpDegree());
+            }
+            want.insert(want.end(), cap.lines().begin(), cap.lines().end());
+        }
+    ASSERT_GT(searched, 0);
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got.size(), want.size());
+    EXPECT_TRUE(got == want);
+}
+
 TEST(PipelineTuner, ImpossibleTpDegreeIsPrunedNotFatal)
 {
     const LlmAutotuner tuner(testCost());
@@ -342,8 +399,7 @@ TEST(PipelineTuner, ImpossibleTpDegreeIsPrunedNotFatal)
     axes.tpRows = 1;
     axes.tpCols = 7; // divides no dimension of the tiny model
     const PipelineCandidate cand = evaluatePipelineCandidate(
-        tuner, tinyModel(), tinyTrain(), axes, PipelineTuneConfig{},
-        /*simulate=*/false);
+        tuner, tinyModel(), tinyTrain(), axes, PipelineTuneConfig{});
     EXPECT_FALSE(cand.feasible);
     EXPECT_NE(cand.reason.find("mesh shape"), std::string::npos)
         << cand.reason;

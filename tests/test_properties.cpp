@@ -16,6 +16,7 @@
 
 #include "core/executor.hpp"
 #include "sim/fluid.hpp"
+#include "util/math.hpp"
 #include "waterfill_oracle.hpp"
 
 namespace meshslice {
@@ -26,15 +27,7 @@ struct Rng
 {
     std::uint64_t state;
 
-    std::uint64_t
-    next()
-    {
-        state += 0x9e3779b97f4a7c15ULL;
-        std::uint64_t z = state;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return z ^ (z >> 31);
-    }
+    std::uint64_t next() { return splitmix64(state); }
 
     /** Uniform integer in [lo, hi]. */
     std::int64_t

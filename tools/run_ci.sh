@@ -10,7 +10,9 @@
 # thread-count-invariant robust picks are checked inside it). Every
 # ctest pass also runs the `sim-throughput-smoke`- and
 # `profiler-smoke`-labelled tests, so the concurrent-candidate path
-# and the critical-path recorder execute under both sanitizers. The
+# and the critical-path recorder execute under both sanitizers, and
+# the `pipeline_smoke` and `sec22_cluster_plan` tests, so the phase-3
+# tuner and the cluster-plan estimator do too. The
 # release leg finishes with a bench-diff report: the smoke BENCH
 # artifacts are regenerated and compared against the previous run's
 # via tools/bench_diff.py (throughput keys gated at 20%, embedded
