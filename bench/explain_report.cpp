@@ -111,20 +111,12 @@ Gemm1DSpec
 make1DExplainSpec(Algorithm algo, std::int64_t dim, int chips,
                   int bytes_per_element)
 {
-    Gemm1DSpec s;
-    s.m = s.k = s.n = dim;
-    s.chips = chips;
-    s.sliceCount = 4;
-    s.bytesPerElement = bytes_per_element;
-    const Bytes e = bytes_per_element;
-    if (algo == Algorithm::kOneDTP) {
-        s.commBytes = s.m * s.k * e;
-        s.local = GemmWork{s.m, s.k, s.n / chips};
-    } else { // FSDP
-        s.commBytes = s.k * s.n * e;
-        s.local = GemmWork{s.m / chips, s.k, s.n};
-    }
-    return s;
+    Gemm2DSpec ring;
+    ring.m = ring.k = ring.n = dim;
+    ring.cols = chips;
+    ring.sliceCount = 4;
+    ring.bytesPerElement = bytes_per_element;
+    return to1DSpec(ring, algo);
 }
 
 /** ns/call of a disabled-recorder guard (the no-op fast path). */

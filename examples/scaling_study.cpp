@@ -35,14 +35,9 @@ main()
                     model.ffnDim, Pass::kForward, 2};
 
         // 1D TP: AllGather the activations around the full ring.
-        Gemm1DSpec one_d;
-        one_d.m = gemm.m;
-        one_d.k = gemm.k;
-        one_d.n = gemm.n;
-        one_d.commBytes = gemm.m * gemm.k * cfg.bytesPerElement;
-        one_d.chips = chips;
+        Gemm1DSpec one_d = make1DSpec(gemm, Algorithm::kOneDTP, chips,
+                                      cfg.bytesPerElement);
         one_d.sliceCount = 8;
-        one_d.local = GemmWork{gemm.m, gemm.k, gemm.n / chips};
         Cluster ring_cluster(cfg, chips);
         RingNetwork ring(ring_cluster);
         GemmRunResult r1 = runGemm1D(ring, one_d);

@@ -1,6 +1,6 @@
 #include "core/dp3d.hpp"
 
-#include <algorithm>
+#include <memory>
 
 #include "core/mesh_ops.hpp"
 #include "core/taskgraph.hpp"
@@ -38,27 +38,35 @@ Torus3D::Torus3D(Cluster &cluster, int rows, int cols, int depth)
 
 namespace {
 
-/** Fan an operation out to every depth ring; join with merged stats. */
+/**
+ * A task that fans an operation out to every depth ring and completes
+ * once all have, adding the merged stats to @p stats.
+ */
 template <typename IssueFn>
-void
-allDepthRings(Torus3D &torus, CommDone done, IssueFn issue)
+TaskGraph::TaskFn
+allDepthRings(Torus3D &torus, CommStats &stats, IssueFn issue)
 {
-    struct Fanout
-    {
-        CommStats merged;
-        CommDone done;
+    return [&torus, &stats, issue](std::function<void()> done) {
+        struct Fanout
+        {
+            CommStats merged;
+            std::function<void()> done;
+        };
+        auto state = std::make_shared<Fanout>();
+        state->done = std::move(done);
+        const int rings = torus.rows() * torus.cols();
+        Join *join = Join::create(rings, [state, &stats] {
+            stats += state->merged;
+            state->done();
+        });
+        for (int r = 0; r < torus.rows(); ++r)
+            for (int c = 0; c < torus.cols(); ++c)
+                issue(torus.depthRing(r, c),
+                      [state, join](const CommStats &ring_stats) {
+                          state->merged.mergeParallel(ring_stats);
+                          join->signal();
+                      });
     };
-    auto state = std::make_shared<Fanout>();
-    state->done = std::move(done);
-    const int rings = torus.rows() * torus.cols();
-    Join *join = Join::create(rings, [state] { state->done(state->merged); });
-    for (int r = 0; r < torus.rows(); ++r)
-        for (int c = 0; c < torus.cols(); ++c)
-            issue(torus.depthRing(r, c),
-                  [state, join](const CommStats &stats) {
-                      state->merged.mergeParallel(stats);
-                      join->signal();
-                  });
 }
 
 } // namespace
@@ -70,44 +78,32 @@ runMeshSliceDP(Torus3D &torus, Algorithm algo,
     Cluster &cluster = torus.cluster();
     Gemm3DResult out;
     GemmRunResult layer_accum;
-    bool finished = false;
 
     TaskGraph graph(cluster.sim(), &cluster.profiler());
     // Layers are independent data-parallel replicas: their schedules
     // share the graph with no cross dependencies.
-    for (int l = 0; l < torus.depth(); ++l)
-        buildGemmSchedule(graph, torus.layer(l), algo, layer_spec,
-                          &layer_accum);
-    // The DP gradient all-reduce runs after every layer's GeMM. The
-    // task graph has no explicit "whole layer" node, so chain it on a
-    // barrier task depending on all tasks added so far: emulate by
-    // starting the all-reduce from graph completion — instead, run the
-    // graph, then the all-reduce, measuring both phases.
-    const Time begin = cluster.sim().now();
-    graph.start([&finished] { finished = true; });
-    cluster.sim().run();
-    if (!finished)
-        panic("runMeshSliceDP: layer schedules did not drain");
-
-    // DP all-reduce over the depth rings (weight-gradient sync).
-    if (torus.depth() > 1 && weight_grad_bytes > 0) {
-        bool dp_done = false;
-        allDepthRings(
-            torus,
-            [&](const CommStats &stats) {
-                out.interLayer += stats;
-                dp_done = true;
-            },
-            [&](const Ring &ring, CommDone ring_done) {
-                ringAllReduce(cluster, ring, weight_grad_bytes,
-                              kLaneVerticalComm, std::move(ring_done));
-            });
-        cluster.sim().run();
-        if (!dp_done)
-            panic("runMeshSliceDP: all-reduce did not drain");
+    std::vector<int> finals;
+    for (int l = 0; l < torus.depth(); ++l) {
+        const std::vector<int> layer_finals = buildGemmSchedule(
+            graph, torus.layer(l), algo, layer_spec, &layer_accum);
+        finals.insert(finals.end(), layer_finals.begin(),
+                      layer_finals.end());
     }
+    // The DP all-reduce of the weight gradients over the depth rings
+    // waits for every layer's GeMM.
+    if (torus.depth() > 1 && weight_grad_bytes > 0)
+        graph.addTask(
+            allDepthRings(torus, out.interLayer,
+                          [&cluster, weight_grad_bytes](const Ring &ring,
+                                                        CommDone done) {
+                              ringAllReduce(cluster, ring,
+                                            weight_grad_bytes,
+                                            kLaneVerticalComm,
+                                            std::move(done));
+                          }),
+            std::move(finals));
 
-    out.time = cluster.sim().now() - begin;
+    out.time = graph.run("runMeshSliceDP");
     out.flops = layer_accum.flops;
     out.intraLayer += layer_accum.horizontal;
     out.intraLayer += layer_accum.vertical;
@@ -121,121 +117,50 @@ run25DGemm(Torus3D &torus, std::int64_t m, std::int64_t k, std::int64_t n,
     Cluster &cluster = torus.cluster();
     const int p = torus.rows();
     const int c_depth = torus.depth();
-    if (torus.rows() != torus.cols())
-        panic("run25DGemm: 2.5D requires a square base mesh, got %dx%d",
-              torus.rows(), torus.cols());
-    if (p % c_depth != 0)
-        panic("run25DGemm: depth %d must divide the base dimension %d",
-              c_depth, p);
+    const Gemm2DSpec spec{.m = m, .k = k, .n = n, .rows = p,
+                          .cols = torus.cols(),
+                          .bytesPerElement = bytes_per_element};
 
     Gemm3DResult out;
-    out.flops = 2.0 * static_cast<double>(m) * static_cast<double>(k) *
-                static_cast<double>(n);
-    GemmRunResult intra;
-
+    out.flops = spec.totalFlops();
     const Bytes e = bytes_per_element;
     const Bytes chips2d = static_cast<Bytes>(p) * p;
     const Bytes shard_a = m * k * e / chips2d;
     const Bytes shard_b = k * n * e / chips2d;
     const Bytes shard_c = m * n * e / chips2d;
-    const GemmWork iter_work{m / p, k / p, n / p};
-    const int iterations = p / c_depth;
 
     TaskGraph graph(cluster.sim(), &cluster.profiler());
-    bool finished = false;
-
-    // Phase 1: replicate the A and B shards across the depth rings
-    // (broadcast from layer 0 — the 2.5D "c copies of the inputs").
-    int replicate_task = graph.addTask([&](std::function<void()> done) {
-        allDepthRings(
-            torus,
-            [&out, done = std::move(done)](const CommStats &stats) {
-                out.interLayer += stats;
-                done();
-            },
-            [&](const Ring &ring, CommDone ring_done) {
-                ringBroadcast(cluster, ring, 0, shard_a + shard_b,
-                              c_depth, kLaneVerticalComm,
-                              std::move(ring_done));
-            });
-    });
-
-    // Phase 2 per layer: Cannon skew then `iterations` shifted
-    // multiply-rotate steps (each layer starts from a different
-    // rotation offset; timing is identical).
-    auto shift_task = [&](int l, Dir dir, Bytes bytes) {
-        return [&, l, dir, bytes](std::function<void()> done) {
-            meshShift(torus.layer(l), dir, bytes, true,
-                      [&intra, dir, done = std::move(done)](
-                          const CommStats &stats) {
-                          if (dir == Dir::kHorizontal)
-                              intra.horizontal += stats;
-                          else
-                              intra.vertical += stats;
-                          done();
-                      });
-        };
-    };
-    auto gemm_task = [&, iter_work](int l) {
-        return [&, l, iter_work](std::function<void()> done) {
-            meshGemm(torus.layer(l), iter_work, std::move(done));
-        };
-    };
-
-    std::vector<int> reduce_deps;
-    for (int l = 0; l < torus.depth(); ++l) {
-        int prev_h = replicate_task;
-        int prev_v = replicate_task;
-        for (int h = 0; h < p / 2; ++h) {
-            prev_h = graph.addTask(shift_task(l, Dir::kHorizontal,
-                                              shard_a),
-                                   {prev_h});
-            prev_v = graph.addTask(shift_task(l, Dir::kVertical, shard_b),
-                                   {prev_v});
-        }
-        int prev_comp = -1;
-        for (int it = 0; it < iterations; ++it) {
-            std::vector<int> deps{prev_h, prev_v};
-            if (prev_comp >= 0)
-                deps.push_back(prev_comp);
-            prev_comp = graph.addTask(gemm_task(l), deps);
-            if (it + 1 < iterations) {
-                prev_h = graph.addTask(shift_task(l, Dir::kHorizontal,
-                                                  shard_a),
-                                       {prev_h});
-                prev_v = graph.addTask(shift_task(l, Dir::kVertical,
-                                                  shard_b),
-                                       {prev_v});
-            }
-        }
-        reduce_deps.push_back(prev_comp);
+    // Replicate the A and B shards over the depth rings (broadcast
+    // from layer 0: the 2.5D "c copies of the inputs").
+    const int replicate = graph.addTask(allDepthRings(
+        torus, out.interLayer,
+        [&cluster, shard_a, shard_b, c_depth](const Ring &ring,
+                                              CommDone done) {
+            ringBroadcast(cluster, ring, 0, shard_a + shard_b, c_depth,
+                          kLaneVerticalComm, std::move(done));
+        }));
+    // Each layer runs its window of Cannon's systolic steps.
+    GemmRunResult intra;
+    std::vector<int> finals;
+    for (int l = 0; l < c_depth; ++l) {
+        const std::vector<int> layer_finals =
+            lowerTimed(graph, torus.layer(l),
+                       make25DLayerSchedule(spec, l, c_depth), &intra,
+                       replicate);
+        finals.insert(finals.end(), layer_finals.begin(),
+                      layer_finals.end());
     }
+    // Reduce the partial C's over the depth rings.
+    graph.addTask(allDepthRings(torus, out.interLayer,
+                                [&cluster, shard_c, c_depth](
+                                    const Ring &ring, CommDone done) {
+                                    ringReduce(cluster, ring, 0, shard_c,
+                                               c_depth, kLaneVerticalComm,
+                                               std::move(done));
+                                }),
+                  std::move(finals));
 
-    // Phase 3: reduce the partial C's over the depth rings.
-    graph.addTask(
-        [&](std::function<void()> done) {
-            allDepthRings(
-                torus,
-                [&out, done = std::move(done)](const CommStats &stats) {
-                    out.interLayer += stats;
-                    done();
-                },
-                [&](const Ring &ring, CommDone ring_done) {
-                    const int packets =
-                        std::max(1, c_depth);
-                    ringReduce(cluster, ring, 0, shard_c, packets,
-                               kLaneVerticalComm, std::move(ring_done));
-                });
-        },
-        reduce_deps);
-
-    const Time begin = cluster.sim().now();
-    graph.start([&finished] { finished = true; });
-    cluster.sim().run();
-    if (!finished)
-        panic("run25DGemm: schedule did not drain");
-
-    out.time = cluster.sim().now() - begin;
+    out.time = graph.run("run25DGemm");
     out.intraLayer += intra.horizontal;
     out.intraLayer += intra.vertical;
     return out;

@@ -7,10 +7,15 @@
  *    batch shard; the weight gradients are then all-reduced over the
  *    depth rings (standard data parallelism).
  *  - 2.5D GeMM (Solomonik–Demmel): the inputs are replicated over the
- *    c depth layers, each layer runs P/c Cannon-style shifted
- *    iterations from a rotated start, and the partial outputs are
- *    reduced back over depth. Inherits Cannon's square-base-mesh
- *    restriction and skew traffic.
+ *    c depth layers, layer l runs the window of P/c Cannon steps that
+ *    starts at step l*P/c (`make25DLayerSchedule`), and the partial
+ *    outputs are reduced back over depth. Inherits Cannon's
+ *    square-base-mesh restriction and skew traffic.
+ *
+ * Both build one task graph: the layers' schedules are lowered by the
+ * timed interpreter (`lowerTimed`), and the depth-ring phases are tasks
+ * before (2.5D replicate) and after (DP all-reduce, 2.5D reduce) the
+ * layers' final steps. The time runs to the graph's completion.
  */
 #ifndef MESHSLICE_CORE_DP3D_HPP_
 #define MESHSLICE_CORE_DP3D_HPP_
@@ -85,7 +90,8 @@ Gemm3DResult runMeshSliceDP(Torus3D &torus, Algorithm algo,
 
 /**
  * 2.5D GeMM of an (m x n, contracting k) product on @p torus. Requires
- * a square base mesh and depth | rows.
+ * a square base mesh and depth | rows. `run25DFunctional`
+ * (`core/gemm_schedule`) runs the same layer schedules on data.
  */
 Gemm3DResult run25DGemm(Torus3D &torus, std::int64_t m, std::int64_t k,
                         std::int64_t n, int bytes_per_element = 2);

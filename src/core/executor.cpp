@@ -82,41 +82,6 @@ finishRunTelemetry(Cluster &cluster, const char *algo_name,
 }
 
 /**
- * Start @p graph, drain the simulator and fill @p result's time and
- * telemetry: the completion timestamp is the graph's, not the drain's
- * (a fault window whose end boundary outlives the GeMM, or a death
- * watch armed past it, must not inflate the reported step time).
- */
-void
-drainGraph(Cluster &cluster, TaskGraph &graph, GemmRunResult &result,
-           const char *algo_name, const char *who)
-{
-    const double core_busy_before = sumCoreBusy(cluster);
-    const Time begin = cluster.sim().now();
-    Time end = begin;
-    bool finished = false;
-    graph.start([&finished, &end, &cluster] {
-        finished = true;
-        end = cluster.sim().now();
-    });
-    cluster.sim().run();
-    if (!finished) {
-        // A requested stop is a deliberate abandonment (the elastic
-        // runtime's fail-stop handler fired mid-schedule): hand back a
-        // partial result the caller will discard. Anything else is the
-        // historical invariant violation.
-        if (cluster.sim().stopRequested()) {
-            result.time = cluster.sim().now() - begin;
-            return;
-        }
-        panic("%s: schedule did not drain", who);
-    }
-    result.time = end - begin;
-    finishRunTelemetry(cluster, algo_name, result, core_busy_before,
-                       cluster.numChips());
-}
-
-/**
  * Per-schedule flow-event plumbing: input collectives deposit a flow
  * id as they complete; the next compute task consumes all pending ids,
  * drawing comm -> compute dependency arrows in Perfetto.
@@ -426,17 +391,11 @@ timedTask(TorusMesh &mesh, const GemmSchedule &sched, const GemmStep &step,
     };
 }
 
-/**
- * Timed interpreter: append @p sched's steps to @p graph as simulated
- * tasks, in step order with the step dependencies, and count the
- * FLOPs into @p state. OneSided schedules also get the per-chip kill
- * watch and a final collector that merges the per-chip get stats
- * (component-wise max, the convention for concurrent rings); it
- * depends only on tasks the graph waits for anyway.
- */
-void
+} // namespace
+
+std::vector<int>
 lowerTimed(TaskGraph &graph, TorusMesh &mesh, const GemmSchedule &sched,
-           GemmRunResult *state)
+           GemmRunResult *state, int after)
 {
     const Gemm2DSpec &spec = sched.spec;
     if (spec.rows != mesh.rows() || spec.cols != mesh.cols())
@@ -452,25 +411,29 @@ lowerTimed(TaskGraph &graph, TorusMesh &mesh, const GemmSchedule &sched,
     }
     std::vector<int> ids;
     ids.reserve(sched.steps.size());
-    std::vector<int> last_of_tile(static_cast<size_t>(spec.chips()), -1);
+    std::vector<bool> waited_for(sched.steps.size(), false);
     for (const GemmStep &step : sched.steps) {
         std::vector<int> deps;
         deps.reserve(step.deps.size());
-        for (int d : step.deps)
+        for (int d : step.deps) {
             deps.push_back(ids[static_cast<size_t>(d)]);
+            waited_for[static_cast<size_t>(d)] = true;
+        }
+        if (deps.empty() && after >= 0)
+            deps.push_back(after);
         ids.push_back(graph.addTask(
             timedTask(mesh, sched, step, state, links, onesided),
             std::move(deps)));
-        if (step.kind == StepKind::kGemm && step.tile >= 0)
-            last_of_tile[static_cast<size_t>(step.tile)] = ids.back();
     }
-    if (!onesided)
-        return;
     std::vector<int> finals;
-    for (int t : last_of_tile)
-        if (t >= 0)
-            finals.push_back(t);
-    graph.addTask(
+    for (size_t i = 0; i < ids.size(); ++i)
+        if (!waited_for[i])
+            finals.push_back(ids[i]);
+    if (!onesided)
+        return finals;
+    // After each tile's last GeMM, merge the per-chip get stats
+    // (component-wise max, the convention for concurrent rings).
+    return {graph.addTask(
         [onesided, state](std::function<void()> done) {
             for (const OneSidedChip &cs : onesided->chips) {
                 state->horizontal.mergeParallel(cs.h);
@@ -478,18 +441,16 @@ lowerTimed(TaskGraph &graph, TorusMesh &mesh, const GemmSchedule &sched,
             }
             done();
         },
-        finals);
+        finals)};
 }
 
-} // namespace
-
-void
+std::vector<int>
 buildGemmSchedule(TaskGraph &graph, TorusMesh &mesh, Algorithm algo,
                   const Gemm2DSpec &spec, GemmRunResult *accum)
 {
-    lowerTimed(graph, mesh,
-               makeGemmSchedule(algo, spec, mesh.cluster().config()),
-               accum);
+    return lowerTimed(graph, mesh,
+                      makeGemmSchedule(algo, spec, mesh.cluster().config()),
+                      accum);
 }
 
 GemmRunResult
@@ -512,8 +473,13 @@ GemmExecutor::run(const GemmSchedule &sched)
     GemmRunResult result;
     TaskGraph graph(cluster.sim(), &cluster.profiler());
     lowerTimed(graph, mesh_, sched, &result);
-    drainGraph(cluster, graph, result, algorithmName(sched.algo),
-               "GemmExecutor");
+    const double core_busy_before = sumCoreBusy(cluster);
+    bool stopped = false;
+    result.time = graph.run("GemmExecutor", &stopped);
+    // A stopped run is a partial result the caller discards.
+    if (!stopped)
+        finishRunTelemetry(cluster, algorithmName(sched.algo), result,
+                           core_busy_before, cluster.numChips());
     return result;
 }
 
@@ -521,77 +487,8 @@ GemmRunResult
 runGemm1D(RingNetwork &net, const Gemm1DSpec &spec, Algorithm algo)
 {
     validateSpec(spec);
-    Cluster &cluster = net.cluster();
-    const ChipConfig &cfg = cluster.config();
-    const int chips = spec.chips;
-    if (chips != cluster.numChips())
-        panic("runGemm1D: spec chips %d != cluster %d", chips,
-              cluster.numChips());
-
-    GemmRunResult result;
-    result.flops = spec.totalFlops();
-    // The 1D baselines also overlap via SendRecv rotations, so the
-    // XLA-artifact mode (Sec 5.3.1) serializes them too.
-    const bool overlap = cfg.allowSendRecvOverlap;
-
-    const int s_count = spec.sliceCount;
-    // Slice the larger free dimension of the local GeMM.
-    GemmWork work = spec.localWork();
-    if (work.m >= work.n)
-        work.m = std::max<std::int64_t>(1, work.m / s_count);
-    else
-        work.n = std::max<std::int64_t>(1, work.n / s_count);
-
-    const Bytes ring_bytes =
-        spec.commBytes / chips * (chips - 1); // per link, whole op
-    const Bytes iter_bytes = ring_bytes / s_count;
-    const bool bidir = cfg.bidirectionalIci && chips > 2;
-    const Ring &ring = net.ring();
-
-    auto shift_task = [&cluster, &ring, iter_bytes, bidir,
-                       &result](std::function<void()> done) {
-        splitShift(iter_bytes, bidir,
-                   statsSink(&result, Dir::kHorizontal, std::move(done)),
-                   [&cluster, &ring](Bytes b, bool fwd, CommDone d) {
-                       ringShift(cluster, ring, b, fwd, kLaneHorizontalComm,
-                                 std::move(d));
-                   });
-    };
-    auto gemm_task = [&net, work](std::function<void()> done) {
-        ringNetGemm(net, work, std::move(done));
-    };
-
-    TaskGraph graph(cluster.sim(), &cluster.profiler());
-    int prev_shift = -1;
-    int prev_comp = -1;
-    for (int s = 0; s < s_count; ++s) {
-        if (!spec.commIsReduce) {
-            std::vector<int> sdeps;
-            if (prev_shift >= 0)
-                sdeps.push_back(prev_shift);
-            if (!overlap && prev_comp >= 0)
-                sdeps.push_back(prev_comp);
-            prev_shift = graph.addTask(shift_task, sdeps);
-            std::vector<int> cdeps{prev_shift};
-            if (prev_comp >= 0)
-                cdeps.push_back(prev_comp);
-            prev_comp = graph.addTask(gemm_task, cdeps);
-        } else {
-            std::vector<int> cdeps;
-            if (prev_comp >= 0)
-                cdeps.push_back(prev_comp);
-            prev_comp = graph.addTask(gemm_task, cdeps);
-            std::vector<int> sdeps{prev_comp};
-            if (prev_shift >= 0)
-                sdeps.push_back(prev_shift);
-            prev_shift = graph.addTask(shift_task, sdeps);
-            if (!overlap)
-                prev_comp = prev_shift; // next compute waits the shift
-        }
-    }
-
-    drainGraph(cluster, graph, result, algorithmName(algo), "runGemm1D");
-    return result;
+    return GemmExecutor(net.mesh())
+        .run(makeGemmSchedule(algo, spec, net.cluster().config()));
 }
 
 } // namespace meshslice

@@ -2,8 +2,11 @@
  * @file
  * Timing executors for the distributed GeMM algorithms (Sec 4.2/4.3).
  *
- * Each 2D algorithm is written once, as a `GemmSchedule`
- * (`core/gemm_schedule`); the timed interpreter here lowers its steps
+ * Every timed GeMM is written once, as a `GemmSchedule`
+ * (`core/gemm_schedule`): the six 2D algorithms, the 1D baselines
+ * (1DTP / FSDP, Wang's rotation pipeline on the ring seen as a 1 x P
+ * mesh) and the 2.5D GeMM's layers (windows of Cannon's steps,
+ * `core/dp3d`). The timed interpreter here lowers a schedule's steps
  * to a task graph of mesh-wide operations (collectives, SUMMA panels,
  * shifts, one-sided get batches, local GeMMs) with the schedule's
  * dependencies, and the fluid cluster simulator produces the
@@ -15,8 +18,6 @@
  * compute, so a straggling or killed source chip delays exactly the
  * tiles that read from it (gets from a corpse retry over a detour,
  * gets into it are written off, its compute completes vacuously).
- * The 1D baselines (1DTP / FSDP) run a ring with Wang-style
- * overlapped shifts.
  *
  * When `ChipConfig::allowCollectiveOverlap` is false (the real-TPUv4
  * mode of Sec 5.3), AG/RdS/bcast/reduce-based schedules serialize
@@ -60,18 +61,30 @@ class GemmExecutor
 };
 
 /**
- * Append @p algo's software-pipelined schedule for @p spec to an
- * existing task graph on @p mesh (which may be one layer of a 3D
- * cluster), accumulating communication stats and FLOPs into @p accum.
- * Used to compose multi-mesh schedules (e.g. MeshSlice+DP, Sec 7).
+ * Timed interpreter: append @p sched's steps to @p graph on @p mesh
+ * (which may be one layer of a 3D cluster) as simulated tasks, in step
+ * order with the step dependencies; steps with no dependency wait for
+ * task @p after when it is >= 0. Communication stats and FLOPs
+ * accumulate into @p state. Returns the tasks nothing in the schedule
+ * waits for, which a composed schedule hangs its next phase on.
  */
-void buildGemmSchedule(TaskGraph &graph, TorusMesh &mesh, Algorithm algo,
-                       const Gemm2DSpec &spec, GemmRunResult *accum);
+std::vector<int> lowerTimed(TaskGraph &graph, TorusMesh &mesh,
+                            const GemmSchedule &sched,
+                            GemmRunResult *state, int after = -1);
 
-/** Simulate a 1D baseline (`kOneDTP` semantics == `kFsdp`: the spec's
- *  comm matrix and local work differ, the schedule is the same).
- *  @p algo only labels the telemetry (per-algorithm overlap metrics in
- *  the cluster's stats registry). */
+/**
+ * Append @p algo's software-pipelined schedule for @p spec to an
+ * existing task graph (`lowerTimed` of `makeGemmSchedule`). Used to
+ * compose multi-mesh schedules (e.g. MeshSlice+DP, Sec 7).
+ */
+std::vector<int> buildGemmSchedule(TaskGraph &graph, TorusMesh &mesh,
+                                   Algorithm algo, const Gemm2DSpec &spec,
+                                   GemmRunResult *accum);
+
+/** Simulate a 1D baseline on the ring: `GemmExecutor` on the ring's
+ *  1 x P mesh runs the `Gemm1DSpec` schedule. The spec's comm matrix
+ *  and local work set the timing; @p algo labels the telemetry and
+ *  picks the functional form (1DTP or FSDP). */
 GemmRunResult runGemm1D(RingNetwork &net, const Gemm1DSpec &spec,
                         Algorithm algo = Algorithm::kOneDTP);
 

@@ -187,6 +187,41 @@ scheduleSumma(GemmSchedule &g, const ChipConfig &cfg)
 }
 
 /**
+ * The rotation pipeline of Wang and the 1D baselines: per slice s, a
+ * copy of @p rotation for slice s and a GeMM. An AllGather rotation
+ * feeds its GeMM; in the XLA-artifact mode (no SendRecv overlap, Sec
+ * 5.3.1) it also waits for the previous GeMM. A ReduceScatter rotation
+ * follows its GeMM; without overlap the next GeMM waits for it. The
+ * first rotation (AG) or GeMM (RdS) also waits for @p prologue. Returns
+ * the step a following epilogue waits for: the last GeMM, or without
+ * overlap in the RdS case the last rotation.
+ */
+int
+rotationPipeline(GemmSchedule &g, const GemmStep &rotation, bool overlap,
+                 int prologue)
+{
+    int prev_shift = -1;
+    int prev_comp = -1;
+    for (int s = 0; s < g.slices; ++s) {
+        GemmStep shift = rotation;
+        shift.lo = s;
+        shift.hi = s + 1;
+        if (rotation.op == CollKind::kAllGather) {
+            prev_shift = add(g, std::move(shift),
+                             {prev_shift, overlap ? -1 : prev_comp,
+                              prologue});
+            prev_comp = add(g, gemm(s, s + 1), {prev_shift, prev_comp});
+        } else {
+            prev_comp = add(g, gemm(s, s + 1), {prev_comp, prologue});
+            prev_shift = add(g, std::move(shift), {prev_comp, prev_shift});
+            if (!overlap)
+                prev_comp = prev_shift; // next compute waits the shift
+        }
+    }
+    return prev_comp;
+}
+
+/**
  * Wang: the direction with more bytes per link is decomposed into S
  * SendRecv rotations overlapped with the computes; the other direction
  * is one blocking collective (AG prologue or RdS epilogue).
@@ -206,46 +241,30 @@ scheduleWang(GemmSchedule &g, const ChipConfig &cfg)
                                                                        : 1;
     const Side &ov_side = sides[ov];
     const Side &bl_side = sides[1 - ov];
-    auto rotation = [&](int s) {
-        return GemmStep{.kind = StepKind::kShift, .dir = ov_side.dir,
-                        .op = ov_side.op, .lump = Lump::kRotation,
-                        .lo = s, .hi = s + 1,
-                        .bytes = ov_side.shardPerIter *
-                                 (ov_side.ringSize - 1),
-                        .bidir = cfg.bidirectionalIci &&
-                                 ov_side.ringSize > 2};
-    };
+    const GemmStep rotation{.kind = StepKind::kShift, .dir = ov_side.dir,
+                            .op = ov_side.op, .lump = Lump::kRotation,
+                            .bytes = ov_side.shardPerIter *
+                                     (ov_side.ringSize - 1),
+                            .bidir = cfg.bidirectionalIci &&
+                                     ov_side.ringSize > 2};
     const GemmStep blocking =
         collective(bl_side, 0, s_count, bl_side.shardPerIter * s_count);
-    const bool overlap = cfg.allowSendRecvOverlap;
 
     const int prologue =
         bl_side.op == CollKind::kAllGather ? add(g, blocking, {}) : -1;
-    int prev_shift = -1;
-    int prev_comp = -1;
-    for (int s = 0; s < s_count; ++s) {
-        if (ov_side.op == CollKind::kAllGather) {
-            // The rotation feeds the compute. XLA-artifact mode: it
-            // also waits for the previous compute (Sec 5.3.1).
-            prev_shift = add(g, rotation(s),
-                             {prev_shift, overlap ? -1 : prev_comp,
-                              prologue});
-            prev_comp = add(g, gemm(s, s + 1), {prev_shift, prev_comp});
-        } else {
-            // The compute feeds the rotation (RdS decomposition).
-            prev_comp = add(g, gemm(s, s + 1), {prev_comp, prologue});
-            prev_shift = add(g, rotation(s), {prev_comp, prev_shift});
-            if (!overlap)
-                prev_comp = prev_shift; // next compute waits the shift
-        }
-    }
+    const int last =
+        rotationPipeline(g, rotation, cfg.allowSendRecvOverlap, prologue);
     if (bl_side.op == CollKind::kReduceScatter)
-        add(g, blocking, {prev_comp});
+        add(g, blocking, {last});
 }
 
-/** Cannon: square mesh, skew prologue, P systolic iterations. */
+/**
+ * Cannon on a square mesh: the skew prologue, then the systolic steps
+ * [first, first + count), a GeMM per step with one shift of each input
+ * between consecutive steps.
+ */
 void
-scheduleCannon(GemmSchedule &g)
+scheduleCannon(GemmSchedule &g, int first, int count)
 {
     const Gemm2DSpec &spec = g.spec;
     if (spec.rows != spec.cols)
@@ -254,6 +273,7 @@ scheduleCannon(GemmSchedule &g)
     const int p = spec.rows;
     const Bytes e = spec.bytesPerElement;
     g.slices = p;
+    g.first = first;
     g.work = GemmWork{spec.m / p, spec.k / p, spec.n / p};
     auto shift = [&](Dir dir, Lump lump, int lo) {
         const Bytes shard = (dir == Dir::kHorizontal ? spec.m : spec.n) *
@@ -269,10 +289,11 @@ scheduleCannon(GemmSchedule &g)
         prev_h = add(g, shift(Dir::kHorizontal, Lump::kSkew, hop), {prev_h});
         prev_v = add(g, shift(Dir::kVertical, Lump::kSkew, hop), {prev_v});
     }
+    const int end = first + count;
     int prev_comp = -1;
-    for (int s = 0; s < p; ++s) {
+    for (int s = first; s < end; ++s) {
         prev_comp = add(g, gemm(s, s + 1), {prev_comp, prev_h, prev_v});
-        if (s + 1 < p) {
+        if (s + 1 < end) {
             prev_h = add(g, shift(Dir::kHorizontal, Lump::kNone, s),
                          {prev_h});
             prev_v = add(g, shift(Dir::kVertical, Lump::kNone, s),
@@ -339,7 +360,7 @@ makeGemmSchedule(Algorithm algo, const Gemm2DSpec &spec,
         scheduleWang(g, cfg);
         break;
       case Algorithm::kCannon:
-        scheduleCannon(g);
+        scheduleCannon(g, 0, spec.rows);
         break;
       case Algorithm::kOneSided:
         scheduleOneSided(g, cfg);
@@ -348,6 +369,58 @@ makeGemmSchedule(Algorithm algo, const Gemm2DSpec &spec,
         panic("makeGemmSchedule: %s is not a 2D algorithm",
               algorithmName(algo));
     }
+    return g;
+}
+
+GemmSchedule
+makeGemmSchedule(Algorithm algo, const Gemm1DSpec &spec,
+                 const ChipConfig &cfg)
+{
+    if (algo != Algorithm::kOneDTP && algo != Algorithm::kFsdp)
+        panic("makeGemmSchedule: %s is not a 1D baseline",
+              algorithmName(algo));
+    const int s_count = spec.sliceCount;
+    GemmSchedule g;
+    g.algo = algo;
+    g.spec = Gemm2DSpec{.m = spec.m, .k = spec.k, .n = spec.n,
+                        .rows = 1, .cols = spec.chips,
+                        .sliceCount = s_count,
+                        .bytesPerElement = spec.bytesPerElement};
+    if (spec.commIsReduce)
+        g.spec.dataflow = Dataflow::kLS;
+    else if (algo == Algorithm::kFsdp)
+        std::swap(g.spec.m, g.spec.n); // Y^T = W^T X^T gathers W^T
+    g.slices = s_count;
+    // Slice the larger free dimension of the local GeMM.
+    g.work = spec.localWork();
+    if (g.work.m >= g.work.n)
+        g.work.m = std::max<std::int64_t>(1, g.work.m / s_count);
+    else
+        g.work.n = std::max<std::int64_t>(1, g.work.n / s_count);
+    const GemmStep rotation{
+        .kind = StepKind::kShift, .dir = Dir::kHorizontal,
+        .op = spec.commIsReduce ? CollKind::kReduceScatter
+                                : CollKind::kAllGather,
+        .lump = Lump::kRotation,
+        .bytes = spec.commBytes / spec.chips * (spec.chips - 1) / s_count,
+        .bidir = cfg.bidirectionalIci && spec.chips > 2};
+    // The baselines overlap through SendRecv rotations too, so the
+    // XLA-artifact mode (Sec 5.3.1) serializes them as it does Wang.
+    rotationPipeline(g, rotation, cfg.allowSendRecvOverlap, -1);
+    return g;
+}
+
+GemmSchedule
+make25DLayerSchedule(const Gemm2DSpec &spec, int layer, int depth)
+{
+    if (depth <= 0 || spec.rows % depth != 0)
+        panic("2.5D depth %d must divide the base dimension %d", depth,
+              spec.rows);
+    GemmSchedule g;
+    g.algo = Algorithm::kCannon;
+    g.spec = spec;
+    const int steps = spec.rows / depth;
+    scheduleCannon(g, layer * steps, steps);
     return g;
 }
 
@@ -391,12 +464,20 @@ class FunctionalRun
     {
         for (auto &r : recv_)
             r.resize(partial_.size());
-        // Cannon's systolic slice 0 starts as each chip's own shards.
+        // The first slice of Cannon's window is each chip's own shards.
         if (sched.algo == Algorithm::kCannon)
             for (int chip = 0; chip < spec_.chips(); ++chip) {
-                in(Dir::kHorizontal, chip, 0) = shardOf(a_, chip);
-                in(Dir::kVertical, chip, 0) = shardOf(b_, chip);
+                in(Dir::kHorizontal, chip, sched.first) = shardOf(a_, chip);
+                in(Dir::kVertical, chip, sched.first) = shardOf(b_, chip);
             }
+        // A 1D ring's column rings are single chips: the vertical input
+        // never moves, so each chip reads its own slices.
+        if (sched.algo == Algorithm::kOneDTP ||
+            sched.algo == Algorithm::kFsdp)
+            for (int chip = 0; chip < spec_.chips(); ++chip)
+                for (int s = 0; s < sched.slices; ++s)
+                    in(Dir::kVertical, chip, s) =
+                        piece(Dir::kVertical, chip, s);
     }
 
     StepTraffic
@@ -574,27 +655,30 @@ class FunctionalRun
     /**
      * Cannon shift, one hop per ring: a systolic step moves slice @p s
      * into slice @p s + 1 (A left along rows, B up along columns); skew
-     * hop @p s rotates slice 0 of ring r towards its offset r the
-     * shorter way round, so ring r moves only while min(r, P - r) > s.
+     * hop @p s rotates the window's first slice of ring r towards its
+     * offset o = (r + first) mod P the shorter way round, so ring r
+     * moves only while min(o, P - o) > s.
      */
     StepTraffic
     cannonShift(Dir d, Lump lump, int s)
     {
         const bool skew = lump == Lump::kSkew;
         const int p = ringSize(d);
+        const int from = skew ? sched_.first : s;
+        const int to = skew ? sched_.first : s + 1;
         StepTraffic t;
         for (int r = 0; r < ringCount(d); ++r) {
-            if (skew && std::min(r, p - r) <= s)
+            const int offset = (r + sched_.first) % p;
+            if (skew && std::min(offset, p - offset) <= s)
                 continue;
             std::vector<Matrix> held;
             for (int pos = 0; pos < p; ++pos)
-                held.push_back(std::move(in(d, chipOf(d, r, pos),
-                                            skew ? 0 : s)));
+                held.push_back(std::move(in(d, chipOf(d, r, pos), from)));
             t = {held.front().rows() * held.front().cols(), 1};
             std::vector<Matrix> next =
-                ringShiftFunctional(held, !skew || r <= p / 2);
+                ringShiftFunctional(held, !skew || offset <= p / 2);
             for (int pos = 0; pos < p; ++pos)
-                in(d, chipOf(d, r, pos), skew ? 0 : s + 1) =
+                in(d, chipOf(d, r, pos), to) =
                     std::move(next[static_cast<size_t>(pos)]);
         }
         return t;
@@ -715,6 +799,22 @@ runGemmFunctional(Algorithm algo, Dataflow df, const DistMatrix &a,
     const GemmSchedule sched = makeGemmSchedule(
         algo, functionalSpec(df, a, b, s_count), ChipConfig{});
     return runFunctional(sched, a, b, block);
+}
+
+DistMatrix
+run25DFunctional(const DistMatrix &a, const DistMatrix &b, int depth)
+{
+    const Gemm2DSpec spec = functionalSpec(Dataflow::kOS, a, b, 1);
+    DistMatrix c(a.mesh(), spec.m, spec.n);
+    for (int layer = 0; layer < depth; ++layer) {
+        // The layer works on its own copy of the inputs.
+        const DistMatrix part =
+            runFunctional(make25DLayerSchedule(spec, layer, depth), a, b, 1);
+        for (int r = 0; r < spec.rows; ++r)
+            for (int col = 0; col < spec.cols; ++col)
+                c.shardAt(r, col).add(part.shardAt(r, col));
+    }
+    return c;
 }
 
 } // namespace meshslice

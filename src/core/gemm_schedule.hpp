@@ -1,9 +1,12 @@
 /**
  * @file
- * One schedule, two interpreters: each 2D GeMM algorithm is written
- * once, as a `GemmSchedule` — a list of steps with explicit
- * dependencies — and both the timing simulator (`core/executor`) and
- * the data-carrying functional run below read that same list.
+ * One schedule, two interpreters: every timed GeMM is written once, as
+ * a `GemmSchedule` — a list of steps with explicit dependencies — and
+ * both the timing simulator (`core/executor`) and the data-carrying
+ * functional run below read that same list. The six 2D algorithms
+ * have one schedule each; the 1D baselines are the Wang rotation
+ * pipeline on a 1 x P grid (the ring); a 2.5D GeMM layer is a window
+ * of Cannon's systolic steps.
  *
  * Step kinds (slice indices address the schedule's slice grid: the S
  * MeshSlice slices, SUMMA's lcm(Pr,Pc) panels, or Cannon's P systolic
@@ -12,14 +15,14 @@
  *    on every ring of `dir`.
  *  - kPanel: SUMMA broadcast (AG) or reduce (RdS) of panel `lo`.
  *  - kShift: a SendRecv rotation: a Cannon systolic step, one hop of
- *    Cannon's skew, or a Wang slice's rotation.
+ *    Cannon's skew, or a Wang / 1D slice's rotation.
  *  - kGetBatch: one tile's one-sided gets of slice `lo` (OneSided).
  *  - kGemm: local GeMM over slices [lo, hi), on every chip or one tile.
  *
  * Two steps are timed as a lumped cost while the functional run does
  * the exact movement (`Lump`): Cannon's skew, charged as floor(P/2)
- * full-shard rotations of every ring, and a Wang slice's rotation
- * through P-1 hops, charged as one shift of the same bytes.
+ * full-shard rotations of every ring, and a Wang or 1D slice's
+ * rotation through P-1 hops, charged as one shift of the same bytes.
  */
 #ifndef MESHSLICE_CORE_GEMM_SCHEDULE_HPP_
 #define MESHSLICE_CORE_GEMM_SCHEDULE_HPP_
@@ -42,8 +45,8 @@ enum class Lump
     kNone,     ///< exact: one hop of `bytes` per chip
     kSkew,     ///< Cannon skew hop `lo`: every ring is charged a full
                ///< rotation; only rings still short of their offset move
-    kRotation, ///< Wang: slice `lo` circles P-1 hops as an AG or RdS;
-               ///< charged as one shift of the (P-1) pieces' bytes
+    kRotation, ///< Wang, 1D: slice `lo` circles P-1 hops as an AG or
+               ///< RdS; charged as one shift of the (P-1) pieces' bytes
 };
 
 struct GemmStep
@@ -66,8 +69,11 @@ struct GemmStep
 struct GemmSchedule
 {
     Algorithm algo = Algorithm::kMeshSlice;
-    Gemm2DSpec spec;  ///< as scheduled (Collective: sliceCount 1)
+    /** As scheduled (Collective: sliceCount 1; 1D: the 1 x P grid's
+     *  2D form, see the `Gemm1DSpec` overload of `makeGemmSchedule`). */
+    Gemm2DSpec spec;
     int slices = 1;   ///< extent of the slice grid
+    int first = 0;    ///< Cannon: first systolic step of the window
     GemmWork work;    ///< local GeMM of every kGemm step
     std::vector<GemmStep> steps;
 };
@@ -77,6 +83,32 @@ struct GemmSchedule
  *  on a non-square mesh and OneSided with a non-OS dataflow. */
 GemmSchedule makeGemmSchedule(Algorithm algo, const Gemm2DSpec &spec,
                               const ChipConfig &cfg);
+
+/**
+ * Write the 1D baseline @p algo (kOneDTP or kFsdp) for @p spec: Wang's
+ * rotation pipeline on the 1 x P grid of the ring. The shift bytes
+ * (commBytes / P * (P - 1) / S) and the local GeMM (the larger free
+ * dimension sliced S ways, at least 1) come from @p spec. The column
+ * rings hold one chip each, so the other input never moves and has no
+ * step. For the functional run the ring is a 2D GeMM on the 1 x P grid:
+ * the AllGather forms are OS (1D TP: A = X, B = W, C = Y; FSDP:
+ * A = W^T, B = X^T, C = Y^T) and the ReduceScatter form is LS (A is
+ * m x k and B is stored n x k, both sharded along k; C is
+ * reduce-scattered).
+ */
+GemmSchedule makeGemmSchedule(Algorithm algo, const Gemm1DSpec &spec,
+                              const ChipConfig &cfg);
+
+/**
+ * Layer @p layer of a 2.5D GeMM over @p depth layers (Solomonik-Demmel,
+ * Sec 7): Cannon's schedule for @p spec limited to the window of P/depth
+ * systolic steps that starts at step layer * P/depth (Cannon itself is
+ * the window [0, P)). The skew is charged as Cannon's; functionally it
+ * aligns ring r at offset r + first. Panics unless the mesh is square
+ * and @p depth divides its side.
+ */
+GemmSchedule make25DLayerSchedule(const Gemm2DSpec &spec, int layer,
+                                  int depth);
 
 /** The ring position that owns SUMMA panel @p it of @p panels
  *  (= the schedule's `slices`) on a ring of @p ring chips: the root of
@@ -117,6 +149,15 @@ Gemm2DSpec functionalSpec(Dataflow df, const DistMatrix &a,
 DistMatrix runGemmFunctional(Algorithm algo, Dataflow df,
                              const DistMatrix &a, const DistMatrix &b,
                              int s_count, int block);
+
+/**
+ * Functional 2.5D GeMM C = A B on a P x P base mesh with @p depth
+ * layers: every layer holds a copy of the inputs (the depth-ring
+ * broadcast), runs its `make25DLayerSchedule` window, and the layers'
+ * partial products are summed (the depth-ring reduce).
+ */
+DistMatrix run25DFunctional(const DistMatrix &a, const DistMatrix &b,
+                            int depth);
 
 } // namespace meshslice
 

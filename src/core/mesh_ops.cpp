@@ -105,18 +105,4 @@ meshGemm(TorusMesh &mesh, const GemmWork &work, std::function<void()> done)
                             [join] { join->signal(); });
 }
 
-void
-ringNetGemm(RingNetwork &net, const GemmWork &work,
-            std::function<void()> done)
-{
-    Cluster &cluster = net.cluster();
-    if (work.empty()) {
-        cluster.sim().scheduleAfter(0.0, std::move(done));
-        return;
-    }
-    Join *join = Join::create(cluster.numChips(), std::move(done));
-    for (int chip = 0; chip < cluster.numChips(); ++chip)
-        cluster.runGemm(chip, work, [join] { join->signal(); });
-}
-
 } // namespace meshslice

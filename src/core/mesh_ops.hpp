@@ -45,10 +45,6 @@ void meshShift(TorusMesh &mesh, Dir dir, Bytes block_bytes, bool forward,
 void meshGemm(TorusMesh &mesh, const GemmWork &work,
               std::function<void()> done);
 
-/** The same local GeMM on every chip of a 1D ring network. */
-void ringNetGemm(RingNetwork &net, const GemmWork &work,
-                 std::function<void()> done);
-
 } // namespace meshslice
 
 #endif // MESHSLICE_CORE_MESH_OPS_HPP_

@@ -46,6 +46,26 @@ TaskGraph::start(std::function<void()> all_done)
             launchTask(static_cast<int>(id));
 }
 
+Time
+TaskGraph::run(const char *who, bool *stopped)
+{
+    const Time begin = sim_.now();
+    Time end = begin;
+    bool finished = false;
+    start([this, &finished, &end] {
+        finished = true;
+        end = sim_.now();
+    });
+    sim_.run();
+    if (finished)
+        return end - begin;
+    if (!sim_.stopRequested())
+        panic("%s: schedule did not drain", who);
+    if (stopped)
+        *stopped = true;
+    return sim_.now() - begin;
+}
+
 void
 TaskGraph::launchTask(int id)
 {

@@ -52,6 +52,18 @@ class TaskGraph
     /** Begin execution; @p all_done fires when every task completed. */
     void start(std::function<void()> all_done);
 
+    /**
+     * Start, drain the simulator, and return the simulated time from
+     * the start to the graph's completion, not to the end of the
+     * drain: a fault window whose end boundary outlives the graph, or
+     * a death watch armed past it, must not inflate the time. A stop
+     * requested mid-graph (the elastic runtime's fail-stop handler)
+     * abandons the graph: the time runs to the stop and @p stopped,
+     * when non-null, is set. Any other undrained graph panics with
+     * "<who>: schedule did not drain".
+     */
+    Time run(const char *who, bool *stopped = nullptr);
+
   private:
     struct Task
     {

@@ -50,6 +50,21 @@ detourRing(Cluster &cluster, const Ring &ring, int fail_pos,
     return out;
 }
 
+/** The ring over all of @p cluster's chips. */
+Ring
+clusterRing(Cluster &cluster)
+{
+    Ring ring;
+    const int n = cluster.numChips();
+    for (int i = 0; i < n; ++i)
+        ring.chips.push_back(i);
+    for (int i = 0; i < n; ++i) {
+        ring.fwd.push_back(cluster.addLink(strprintf("link.CW.%d", i)));
+        ring.bwd.push_back(cluster.addLink(strprintf("link.CCW.%d", i)));
+    }
+    return ring;
+}
+
 } // namespace
 
 TorusMesh::TorusMesh(Cluster &cluster, int rows, int cols, int chip_base)
@@ -118,15 +133,17 @@ TorusMesh::colRingWithout(int c, int r_fail)
                       strprintf("S.b%d.r%d.c%d", chipBase_, r_fail, c));
 }
 
-RingNetwork::RingNetwork(Cluster &cluster) : cluster_(cluster)
+TorusMesh::TorusMesh(Cluster &cluster, Ring row)
+    : cluster_(cluster), rows_(1), cols_(row.size()), chipBase_(0)
 {
-    const int n = cluster.numChips();
-    for (int i = 0; i < n; ++i)
-        ring_.chips.push_back(i);
-    for (int i = 0; i < n; ++i) {
-        ring_.fwd.push_back(cluster.addLink(strprintf("link.CW.%d", i)));
-        ring_.bwd.push_back(cluster.addLink(strprintf("link.CCW.%d", i)));
-    }
+    colRings_.resize(row.chips.size());
+    for (size_t c = 0; c < row.chips.size(); ++c)
+        colRings_[c].chips.push_back(row.chips[c]);
+    rowRings_.push_back(std::move(row));
 }
+
+RingNetwork::RingNetwork(Cluster &cluster)
+    : mesh_(cluster, clusterRing(cluster))
+{}
 
 } // namespace meshslice

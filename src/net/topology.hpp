@@ -81,6 +81,12 @@ class TorusMesh
     Cluster &cluster() { return cluster_; }
 
   private:
+    friend class RingNetwork;
+
+    /** A 1 x n mesh whose row ring is @p row (chips 0..n-1); each
+     *  column ring is one chip and has no link. */
+    TorusMesh(Cluster &cluster, Ring row);
+
     Cluster &cluster_;
     int rows_;
     int cols_;
@@ -92,19 +98,21 @@ class TorusMesh
 /**
  * A 1D ring over all chips (the 1D TP / FSDP baselines, Sec 4.3). Each
  * chip connects to two neighbours only, so a chip exposes half the link
- * bandwidth it would have in a 2D mesh.
+ * bandwidth it would have in a 2D mesh. Its links are `link.CW.<i>`
+ * (chip i -> i+1) and `link.CCW.<i>` (chip i -> i-1). The GeMM
+ * executors see it as a 1 x P mesh whose one row ring is this ring.
  */
 class RingNetwork
 {
   public:
     explicit RingNetwork(Cluster &cluster);
 
-    const Ring &ring() const { return ring_; }
-    Cluster &cluster() { return cluster_; }
+    const Ring &ring() const { return mesh_.rowRing(0); }
+    TorusMesh &mesh() { return mesh_; }
+    Cluster &cluster() { return mesh_.cluster(); }
 
   private:
-    Cluster &cluster_;
-    Ring ring_;
+    TorusMesh mesh_;
 };
 
 } // namespace meshslice

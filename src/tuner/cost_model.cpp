@@ -454,4 +454,20 @@ estimate1DTime(const CostModel &cost, const Gemm1DSpec &spec)
     return t_shift + (spec.sliceCount - 1) * steady + t_c;
 }
 
+int
+tune1DSliceCount(const CostModel &cost, Gemm1DSpec spec)
+{
+    int best_s = 1;
+    Time best_t = 1e300;
+    for (int s : {1, 2, 4, 8, 16, 32}) {
+        spec.sliceCount = s;
+        const Time t = estimate1DTime(cost, spec);
+        if (t < best_t) {
+            best_t = t;
+            best_s = s;
+        }
+    }
+    return best_s;
+}
+
 } // namespace meshslice

@@ -129,6 +129,10 @@ class CostModel
  */
 Time estimate1DTime(const CostModel &cost, const Gemm1DSpec &spec);
 
+/** The slice count in {1, 2, 4, 8, 16, 32} that minimizes
+ *  `estimate1DTime` for @p spec (the first minimum wins). */
+int tune1DSliceCount(const CostModel &cost, Gemm1DSpec spec);
+
 } // namespace meshslice
 
 #endif // MESHSLICE_TUNER_COST_MODEL_HPP_

@@ -173,12 +173,12 @@ sampleScenarios(const RobustTuneConfig &cfg, int chips)
 
 RobustTuneResult
 tuneRobust(const LlmAutotuner &tuner, Algorithm algo,
-           const std::vector<AutotuneResult> &full_shortlist, int chips,
+           const std::vector<AutotuneResult> &shortlist, int chips,
            const RobustTuneConfig &cfg, StatsRegistry *stats)
 {
     if (!(cfg.quantile > 0.0 && cfg.quantile <= 1.0))
         fatal("tuneRobust: quantile %g outside (0, 1]", cfg.quantile);
-    if (full_shortlist.empty())
+    if (shortlist.empty())
         fatal("tuneRobust: the shortlist is empty");
 
     RobustTuneResult result;
@@ -187,19 +187,19 @@ tuneRobust(const LlmAutotuner &tuner, Algorithm algo,
 
     // The caller may hold a longer shortlist than this re-rank wants
     // (the PlanEngine caches one shortlist sized for every phase);
-    // evaluating the prefix is identical to rankShapes(cfg.topK).
-    std::vector<AutotuneResult> shortlist = full_shortlist;
-    if (cfg.topK > 0 &&
-        static_cast<int>(shortlist.size()) > cfg.topK)
-        shortlist.resize(static_cast<size_t>(cfg.topK));
+    // evaluating the first `count` is identical to rankShapes(cfg.topK).
+    const size_t count =
+        cfg.topK > 0 ? std::min(shortlist.size(),
+                                static_cast<size_t>(cfg.topK))
+                     : shortlist.size();
     const ChipConfig &chip = tuner.cost().chip();
 
     // Per-candidate GeMM subsets (serial: cheap, and keeps the
     // truncation deterministic regardless of worker scheduling).
     std::vector<std::vector<GemmPlan>> gemm_sets;
-    gemm_sets.reserve(shortlist.size());
-    for (const AutotuneResult &plan : shortlist) {
-        std::vector<GemmPlan> gemms = plan.allPlans();
+    gemm_sets.reserve(count);
+    for (size_t ci = 0; ci < count; ++ci) {
+        std::vector<GemmPlan> gemms = shortlist[ci].allPlans();
         if (cfg.maxGemmsPerEval > 0 &&
             static_cast<int>(gemms.size()) > cfg.maxGemmsPerEval)
             gemms.resize(static_cast<size_t>(cfg.maxGemmsPerEval));
@@ -211,7 +211,7 @@ tuneRobust(const LlmAutotuner &tuner, Algorithm algo,
     // times, trace records and stats in serial cell order below.
     const size_t num_scen = result.scenarios.size();
     const std::int64_t cells =
-        static_cast<std::int64_t>(shortlist.size() * num_scen);
+        static_cast<std::int64_t>(count * num_scen);
     std::vector<Time> cell_time(static_cast<size_t>(cells), 0.0);
     std::vector<std::vector<StatSnapshot>> cell_stats(
         stats != nullptr ? static_cast<size_t>(cells) : 0);
@@ -238,7 +238,7 @@ tuneRobust(const LlmAutotuner &tuner, Algorithm algo,
     });
 
     const bool tracing = SearchTrace::global().enabled();
-    for (size_t ci = 0; ci < shortlist.size(); ++ci) {
+    for (size_t ci = 0; ci < count; ++ci) {
         RobustCandidate cand;
         cand.plan = shortlist[ci];
         cand.nominalEst = shortlist[ci].blockFcTime;
@@ -283,7 +283,7 @@ tuneRobust(const LlmAutotuner &tuner, Algorithm algo,
 
 RecoveryTuneResult
 tuneWithRecovery(const LlmAutotuner &tuner, Algorithm algo,
-                 const std::vector<AutotuneResult> &full_shortlist,
+                 const std::vector<AutotuneResult> &shortlist,
                  int chips, const RecoveryTuneConfig &cfg)
 {
     if (cfg.topK <= 0)
@@ -298,12 +298,12 @@ tuneWithRecovery(const LlmAutotuner &tuner, Algorithm algo,
               "(got %lld) — the checkpoint write cost anchors the "
               "Young-Daly interval",
               static_cast<long long>(cfg.checkpointBytesPerChip));
-    if (full_shortlist.empty())
+    if (shortlist.empty())
         fatal("tuneWithRecovery: the shortlist is empty");
 
-    std::vector<AutotuneResult> shortlist = full_shortlist;
-    if (static_cast<int>(shortlist.size()) > cfg.topK)
-        shortlist.resize(static_cast<size_t>(cfg.topK));
+    // Price the first topK of the caller's shortlist.
+    const size_t count =
+        std::min(shortlist.size(), static_cast<size_t>(cfg.topK));
     const ChipConfig &chip = tuner.cost().chip();
     const double total_state =
         static_cast<double>(cfg.checkpointBytesPerChip) *
@@ -313,8 +313,8 @@ tuneWithRecovery(const LlmAutotuner &tuner, Algorithm algo,
     // then trace and collect in serial index order (bit-identical to
     // the serial loop).
     RecoveryTuneResult result;
-    std::vector<RecoveryCandidate> evals(shortlist.size());
-    parallelFor(static_cast<std::int64_t>(shortlist.size()), 1,
+    std::vector<RecoveryCandidate> evals(count);
+    parallelFor(static_cast<std::int64_t>(count), 1,
                 [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t idx = begin; idx < end; ++idx) {
             const AutotuneResult &plan = shortlist[static_cast<size_t>(idx)];

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/dp3d.hpp"
+#include "sim/fault.hpp"
 
 namespace meshslice {
 namespace {
@@ -156,6 +157,50 @@ TEST(Dp3D, MeshSliceDPBeats25DOnImbalancedShapes)
         runMeshSliceDP(tms, Algorithm::kMeshSlice, spec, w_grad);
 
     EXPECT_LT(rms.time, r25.time);
+}
+
+TEST(Dp3D, FaultWindowAfterTheGemmLeavesItsTimeAlone)
+{
+    // A capacity window that opens long after the GeMM has finished
+    // keeps the simulator draining until it closes; both 3D runs must
+    // report the graph's completion time, as without the fault.
+    const ChipConfig cfg = tpuV4Config();
+    FaultScenario late;
+    late.faults.push_back(CapacityFault{"link.", 0.5, 10.0, 5.0});
+    auto timed = [&](int rows, int cols, int depth, bool faulted,
+                     auto run) {
+        Cluster cluster(cfg, rows * cols * depth);
+        Torus3D torus(cluster, rows, cols, depth);
+        FaultInjector injector(cluster.sim(), cluster.net(), late);
+        if (faulted) {
+            injector.arm();
+            cluster.attachFaults(&injector);
+        }
+        const Time t = run(torus);
+        EXPECT_GE(cluster.sim().now(), faulted ? 15.0 : 0.0);
+        return t;
+    };
+    auto dp = [](Torus3D &torus) {
+        Gemm2DSpec spec;
+        spec.m = 2048;
+        spec.k = 1024;
+        spec.n = 1024;
+        spec.rows = torus.rows();
+        spec.cols = torus.cols();
+        spec.sliceCount = 2;
+        return runMeshSliceDP(torus, Algorithm::kMeshSlice, spec,
+                              spec.k * spec.n * 2 / spec.chips())
+            .time;
+    };
+    auto two_point_five = [](Torus3D &torus) {
+        return run25DGemm(torus, 2048, 1024, 1024).time;
+    };
+    const Time dp_time = timed(4, 2, 2, false, dp);
+    EXPECT_LT(dp_time, 1.0);
+    EXPECT_EQ(timed(4, 2, 2, true, dp), dp_time);
+    const Time t25 = timed(4, 4, 2, false, two_point_five);
+    EXPECT_LT(t25, 1.0);
+    EXPECT_EQ(timed(4, 4, 2, true, two_point_five), t25);
 }
 
 } // namespace

@@ -5,13 +5,15 @@
  * with parameterized tests — the repository's ground truth that the
  * MeshSlice algorithm (and each baseline) computes the right answer.
  *
- * Every 2D case is also the timed-equals-functional property: the
- * algorithm's `GemmSchedule` is built once, timed on a simulated mesh,
- * then run functionally as the same object: every step must wait for
- * the steps whose output it reads (so the timed dependencies allow the
- * functional order), and each communication step's timed per-chip
- * bytes must equal the elements the functional run moved (the two
- * lumped steps must also keep their stated hop relation).
+ * Every case is also the timed-equals-functional property: the
+ * algorithm's `GemmSchedule` (a 2D algorithm's, a 1D baseline's on the
+ * ring, or a 2.5D layer's Cannon window) is built once, timed on a
+ * simulated mesh or ring, then run functionally as the same object:
+ * every step must wait for the steps whose output it reads (so the
+ * timed dependencies allow the functional order), and each
+ * communication step's timed per-chip bytes must equal the elements
+ * the functional run moved (the two lumped steps must also keep their
+ * stated hop relation).
  */
 #include <gtest/gtest.h>
 
@@ -20,7 +22,7 @@
 #include <tuple>
 
 #include "core/executor.hpp"
-#include "gemm/functional_gemm.hpp"
+#include "model/transformer.hpp"
 
 namespace meshslice {
 namespace {
@@ -82,8 +84,8 @@ unorderedReads(const GemmSchedule &sched)
                 if (step.lump == Lump::kRotation) {
                     gathers ? write(dir, s) : read(2, s);
                 } else if (step.lump == Lump::kSkew) {
-                    read(dir, 0);
-                    write(dir, 0);
+                    read(dir, sched.first);
+                    write(dir, sched.first);
                 } else {
                     read(dir, s);
                     write(dir, s + 1);
@@ -107,6 +109,76 @@ unorderedReads(const GemmSchedule &sched)
     return violations;
 }
 
+/** Time @p sched on a fresh cluster: 1D schedules on the ring, the
+ *  others on a torus of the schedule's mesh. */
+Time
+timeSchedule(const GemmSchedule &sched, const ChipConfig &cfg)
+{
+    Cluster cluster(cfg, sched.spec.chips());
+    if (sched.algo == Algorithm::kOneDTP || sched.algo == Algorithm::kFsdp) {
+        RingNetwork ring(cluster);
+        return GemmExecutor(ring.mesh()).run(sched).time;
+    }
+    TorusMesh torus(cluster, sched.spec.rows, sched.spec.cols);
+    return GemmExecutor(torus).run(sched).time;
+}
+
+/**
+ * Time @p sched, run it functionally on @p a and @p b and check the
+ * step ordering and every step's traffic against its timed charge, and
+ * the product against @p ref when given. Returns the product.
+ */
+Matrix
+checkSchedule(const GemmSchedule &sched, int block, const DistMatrix &a,
+              const DistMatrix &b, const Matrix *ref,
+              const ChipConfig &cfg = tpuV4Config())
+{
+    const char *algo = algorithmName(sched.algo);
+    EXPECT_EQ(unorderedReads(sched), 0) << algo;
+    EXPECT_GT(timeSchedule(sched, cfg), 0.0) << algo;
+
+    std::vector<StepTraffic> traffic;
+    const Matrix got = runFunctional(sched, a, b, block, &traffic).gather();
+    if (ref) {
+        EXPECT_TRUE(got.allClose(*ref, kTol))
+            << algo << " " << dataflowName(sched.spec.dataflow)
+            << " max diff " << got.maxAbsDiff(*ref);
+    }
+
+    EXPECT_EQ(traffic.size(), sched.steps.size());
+    int skew_hops[2] = {0, 0};
+    for (size_t i = 0; i < std::min(traffic.size(), sched.steps.size());
+         ++i) {
+        const GemmStep &step = sched.steps[i];
+        const int ring = step.dir == Dir::kHorizontal ? sched.spec.cols
+                                                      : sched.spec.rows;
+        EXPECT_EQ(chargedBytesPerChip(sched, step),
+                  traffic[i].elems * sched.spec.bytesPerElement)
+            << algo << " step " << i;
+        // A Wang or 1D rotation is timed as one shift but moves its
+        // slice around the whole ring.
+        if (step.lump == Lump::kRotation) {
+            EXPECT_EQ(traffic[i].hops, ring - 1) << "step " << i;
+        }
+        if (step.lump == Lump::kSkew)
+            ++skew_hops[step.dir == Dir::kHorizontal ? 0 : 1];
+    }
+    // Cannon's skew is charged as floor(P/2) rotations of every ring:
+    // exactly the farthest ring's shorter-way distance to its offset
+    // (r + first) mod P.
+    if (sched.algo == Algorithm::kCannon) {
+        const int p = sched.spec.rows;
+        int farthest = 0;
+        for (int r = 0; r < p; ++r) {
+            const int offset = (r + sched.first) % p;
+            farthest = std::max(farthest, std::min(offset, p - offset));
+        }
+        EXPECT_EQ(skew_hops[0], farthest);
+        EXPECT_EQ(skew_hops[1], farthest);
+    }
+    return got;
+}
+
 /**
  * Build @p algo's schedule for the scattered operands once, simulate
  * it, run it functionally and check the product against @p ref and
@@ -122,47 +194,60 @@ timedEqualsFunctional(Algorithm algo, Dataflow df, MeshShape mesh, int s,
     const DistMatrix db = DistMatrix::scatter(b, mesh);
     const GemmSchedule sched =
         makeGemmSchedule(algo, functionalSpec(df, da, db, s), cfg);
-    EXPECT_EQ(unorderedReads(sched), 0) << algorithmName(algo);
+    return checkSchedule(sched, block, da, db, &ref, cfg);
+}
 
-    Cluster cluster(cfg, mesh.chips());
-    TorusMesh torus(cluster, mesh.rows, mesh.cols);
-    GemmExecutor exec(torus);
-    EXPECT_GT(exec.run(sched).time, 0.0);
+/**
+ * The 1D baseline @p algo of Y = X W (@p x is m x k, @p w is k x n) on
+ * a ring of @p chips, sliced @p s ways: its schedule is checked like
+ * every 2D one on the operands of its 1 x P form. Returns Y.
+ */
+Matrix
+oneDTimedEqualsFunctional(Algorithm algo, const Matrix &x, const Matrix &w,
+                          int chips, int s = 1, int block = 1,
+                          const ChipConfig &cfg = tpuV4Config())
+{
+    Gemm2DSpec ring;
+    ring.m = x.rows();
+    ring.k = x.cols();
+    ring.n = w.cols();
+    ring.cols = chips;
+    ring.sliceCount = s;
+    const GemmSchedule sched =
+        makeGemmSchedule(algo, to1DSpec(ring, algo), cfg);
+    const MeshShape mesh{1, chips};
+    const Matrix ref = Matrix::gemm(x, w);
+    if (algo == Algorithm::kOneDTP)
+        return checkSchedule(sched, block, DistMatrix::scatter(x, mesh),
+                             DistMatrix::scatter(w, mesh), &ref, cfg);
+    // FSDP gathers W: on the 1 x P grid it is Y^T = W^T X^T.
+    const Matrix ref_t = ref.transpose();
+    return checkSchedule(sched, block,
+                         DistMatrix::scatter(w.transpose(), mesh),
+                         DistMatrix::scatter(x.transpose(), mesh), &ref_t,
+                         cfg)
+        .transpose();
+}
 
-    std::vector<StepTraffic> traffic;
-    const Matrix got = runFunctional(sched, da, db, block, &traffic).gather();
-    EXPECT_TRUE(got.allClose(ref, kTol))
-        << algorithmName(algo) << " " << dataflowName(df) << " max diff "
-        << got.maxAbsDiff(ref);
-
-    EXPECT_EQ(traffic.size(), sched.steps.size());
-    int skew_hops[2] = {0, 0};
-    for (size_t i = 0; i < std::min(traffic.size(), sched.steps.size());
-         ++i) {
-        const GemmStep &step = sched.steps[i];
-        const int ring =
-            step.dir == Dir::kHorizontal ? mesh.cols : mesh.rows;
-        EXPECT_EQ(chargedBytesPerChip(sched, step),
-                  traffic[i].elems * sched.spec.bytesPerElement)
-            << algorithmName(algo) << " step " << i;
-        // A Wang rotation is timed as one shift but moves its slice
-        // around the whole ring.
-        if (step.lump == Lump::kRotation) {
-            EXPECT_EQ(traffic[i].hops, ring - 1) << "step " << i;
-        }
-        if (step.lump == Lump::kSkew)
-            ++skew_hops[step.dir == Dir::kHorizontal ? 0 : 1];
-    }
-    // Cannon's skew is charged as floor(P/2) rotations of every ring:
-    // exactly the farthest ring's shorter-way distance, min(r, P - r).
-    if (algo == Algorithm::kCannon) {
-        int farthest = 0;
-        for (int r = 0; r < mesh.rows; ++r)
-            farthest = std::max(farthest, std::min(r, mesh.rows - r));
-        EXPECT_EQ(skew_hops[0], farthest);
-        EXPECT_EQ(skew_hops[1], farthest);
-    }
-    return got;
+/**
+ * The backward-weight form of a 1D baseline: the m x n gradient
+ * G = A B^T (@p a is m x k, @p b_t is n x k, both sharded along k over
+ * @p chips) is reduce-scattered around the ring. Returns G.
+ */
+Matrix
+oneDReduceTimedEqualsFunctional(Algorithm algo, const Matrix &a,
+                                const Matrix &b_t, int chips, int s,
+                                int block, const ChipConfig &cfg)
+{
+    const FcGemm gemm{"dw", a.rows(), a.cols(), b_t.rows(),
+                      Pass::kBackwardWeight, 0};
+    Gemm1DSpec spec = make1DSpec(gemm, algo, chips, 2);
+    spec.sliceCount = s;
+    const GemmSchedule sched = makeGemmSchedule(algo, spec, cfg);
+    const MeshShape mesh{1, chips};
+    const Matrix ref = Matrix::gemm(a, b_t.transpose());
+    return checkSchedule(sched, block, DistMatrix::scatter(a, mesh),
+                         DistMatrix::scatter(b_t, mesh), &ref, cfg);
 }
 
 struct FuncCase
@@ -448,8 +533,9 @@ TEST(TwoPointFiveD, MatchesReferenceAcrossDepths)
             Matrix a = Matrix::random(32, 64, 61);
             Matrix b = Matrix::random(64, 32, 62);
             Matrix ref = Matrix::gemm(a, b);
-            Matrix got = func25DGemm(DistMatrix::scatter(a, mesh),
-                                     DistMatrix::scatter(b, mesh), depth)
+            Matrix got = run25DFunctional(DistMatrix::scatter(a, mesh),
+                                          DistMatrix::scatter(b, mesh),
+                                          depth)
                              .gather();
             EXPECT_TRUE(got.allClose(ref, kTol))
                 << "P=" << p << " depth=" << depth;
@@ -462,9 +548,35 @@ TEST(TwoPointFiveDDeath, RejectsBadDepth)
     MeshShape mesh{4, 4};
     Matrix a = Matrix::random(16, 16, 1);
     Matrix b = Matrix::random(16, 16, 2);
-    EXPECT_DEATH(func25DGemm(DistMatrix::scatter(a, mesh),
-                             DistMatrix::scatter(b, mesh), 3),
+    EXPECT_DEATH(run25DFunctional(DistMatrix::scatter(a, mesh),
+                                  DistMatrix::scatter(b, mesh), 3),
                  "divide");
+}
+
+TEST(TimedEqualsFunctional, TwoPointFiveDLayersSumToTheProduct)
+{
+    // Each layer's Cannon window is checked on its own (its partial
+    // product has no closed form); the windows sum to the product.
+    const Matrix a = Matrix::random(48, 96, 63);
+    const Matrix b = Matrix::random(96, 48, 64);
+    const Matrix ref = Matrix::gemm(a, b);
+    for (int p : {1, 2, 3, 4, 6}) {
+        const MeshShape mesh{p, p};
+        const DistMatrix da = DistMatrix::scatter(a, mesh);
+        const DistMatrix db = DistMatrix::scatter(b, mesh);
+        const Gemm2DSpec spec = functionalSpec(Dataflow::kOS, da, db, 1);
+        for (int depth = 1; depth <= p; ++depth) {
+            if (p % depth != 0)
+                continue;
+            SCOPED_TRACE("P=" + std::to_string(p) +
+                         " depth=" + std::to_string(depth));
+            Matrix sum(ref.rows(), ref.cols());
+            for (int l = 0; l < depth; ++l)
+                sum.add(checkSchedule(make25DLayerSchedule(spec, l, depth),
+                                      1, da, db, nullptr));
+            EXPECT_TRUE(sum.allClose(ref, kTol));
+        }
+    }
 }
 
 TEST(OneDBaselines, OneDTPMatchesReference)
@@ -473,7 +585,8 @@ TEST(OneDBaselines, OneDTPMatchesReference)
         Matrix x = Matrix::random(32, 24, 41);
         Matrix w = Matrix::random(24, 16, 42);
         Matrix ref = Matrix::gemm(x, w);
-        Matrix got = Matrix::hcat(func1DTP(x, w, chips));
+        Matrix got =
+            oneDTimedEqualsFunctional(Algorithm::kOneDTP, x, w, chips);
         EXPECT_TRUE(got.allClose(ref, kTol)) << "chips=" << chips;
     }
 }
@@ -484,8 +597,40 @@ TEST(OneDBaselines, FsdpMatchesReference)
         Matrix x = Matrix::random(32, 24, 43);
         Matrix w = Matrix::random(24, 16, 44);
         Matrix ref = Matrix::gemm(x, w);
-        Matrix got = Matrix::vcat(funcFsdp(x, w, chips));
+        Matrix got =
+            oneDTimedEqualsFunctional(Algorithm::kFsdp, x, w, chips);
         EXPECT_TRUE(got.allClose(ref, kTol)) << "chips=" << chips;
+    }
+}
+
+TEST(TimedEqualsFunctional, OneDBaselinesEveryFormAndMode)
+{
+    // Both baselines, the AllGather and the backward-weight
+    // ReduceScatter form, sliced, under every overlap mode and ICI
+    // direction setting.
+    const Matrix a = Matrix::random(64, 64, 45);
+    const Matrix b = Matrix::random(64, 64, 46);
+    for (int mode = 0; mode < 3; ++mode) {
+        for (bool bidir : {true, false}) {
+            ChipConfig cfg = tpuV4Config();
+            cfg.allowCollectiveOverlap = mode != 1;
+            cfg.allowSendRecvOverlap = mode != 2;
+            cfg.bidirectionalIci = bidir;
+            for (Algorithm algo : {Algorithm::kOneDTP, Algorithm::kFsdp}) {
+                for (int chips : {2, 4, 8}) {
+                    for (int s : {1, 2, 4}) {
+                        SCOPED_TRACE(std::string(algorithmName(algo)) +
+                                     " chips " + std::to_string(chips) +
+                                     " S " + std::to_string(s) + " mode " +
+                                     std::to_string(mode));
+                        oneDTimedEqualsFunctional(algo, a, b, chips, s, 2,
+                                                  cfg);
+                        oneDReduceTimedEqualsFunctional(algo, a, b, chips,
+                                                        s, 2, cfg);
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -12,7 +12,9 @@
 # `profiler-smoke`-labelled tests, so the concurrent-candidate path
 # and the critical-path recorder execute under both sanitizers, and
 # the `pipeline_smoke` and `sec22_cluster_plan` tests, so the phase-3
-# tuner and the cluster-plan estimator do too. The
+# tuner and the cluster-plan estimator do too, and the
+# `sec7_25d_traffic` and `scaling_study` tests, so the 2.5D,
+# MeshSlice+DP and 1D ring timed paths do as well. The
 # release leg finishes with a bench-diff report: the smoke BENCH
 # artifacts are regenerated and compared against the previous run's
 # via tools/bench_diff.py (throughput keys gated at 20%, embedded
