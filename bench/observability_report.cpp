@@ -18,7 +18,10 @@
  *    of the same simulation, and the ns/call of a disabled-registry
  *    mutation (the no-op fast path).
  *
- * Emits `BENCH_observability.json` in the working directory.
+ * Emits `BENCH_observability.json` in the working directory (or at
+ * `--out`). Takes the shared `BenchArgs` CLI; one block is already
+ * small, so `--smoke` shrinks nothing, and `--seed` / `--mtbf` have
+ * no failure process to drive.
  */
 #include <chrono>
 #include <cmath>
@@ -213,7 +216,8 @@ disabledNoopNs()
 int
 main(int argc, char **argv)
 {
-    const int chips = argc > 1 ? std::atoi(argv[1]) : 16;
+    const BenchArgs args = BenchArgs::parse(argc, argv, 16);
+    const int chips = args.chips;
     const ChipConfig cfg = tpuV4Config();
     const TransformerConfig model = gpt3Config();
     const TrainingConfig train = TrainingConfig::weakScaling(chips);
@@ -316,7 +320,9 @@ main(int argc, char **argv)
               << "% of the dark per-event cost\n";
 
     // ---- BENCH_observability.json
-    std::ofstream json("BENCH_observability.json");
+    const std::string out_path =
+        args.out.empty() ? "BENCH_observability.json" : args.out;
+    std::ofstream json(out_path);
     json << "{\n  \"chips\": " << chips << ",\n  \"algorithms\": {\n";
     for (size_t i = 0; i < runs.size(); ++i) {
         const AlgoRun &r = runs[i];
@@ -365,8 +371,8 @@ main(int argc, char **argv)
          << "  \"artifacts\": [\"observability_trace.json\", "
             "\"observability_stats.json\", \"tuner_search.jsonl\"]\n"
          << "}\n";
-    std::cout << "wrote BENCH_observability.json, "
-                 "observability_trace.json, observability_stats.json, "
+    std::cout << "wrote " << out_path
+              << ", observability_trace.json, observability_stats.json, "
                  "tuner_search.jsonl\n";
     return 0;
 }

@@ -186,25 +186,20 @@ getBatchTask(TorusMesh &mesh, std::shared_ptr<OneSidedState> st,
         Time launch = cl.config().launchOverhead;
         if (FaultInjector *inj = cl.faults())
             launch += inj->nextLaunchJitter();
-        SpanRecorder &prof = cl.profiler();
-        const bool profe = prof.enabled();
-        const int ptask = profe ? prof.currentTask() : -1;
-        std::vector<int> pdeps;
-        if (profe)
-            pdeps = prof.ambientDeps();
         const Time begin = cl.sim().now();
         cl.sim().scheduleAfter(
             launch, [st, &mesh, rows, cols, h_shard, v_shard, r, c, chip,
-                     idx, count, launch, begin, profe, ptask,
-                     pdeps = std::move(pdeps),
+                     idx, count, launch, begin,
+                     span = SpanContext(cl.profiler()),
                      done = std::move(done)]() mutable {
                 Cluster &cl = mesh.cluster();
-                int launch_node = -1;
-                if (profe)
-                    launch_node = cl.profiler().addNode(
-                        strprintf("getbatch c%d launch", chip),
-                        SpanCategory::kLaunch, begin, cl.sim().now(),
-                        std::move(pdeps), chip);
+                const int launch_node =
+                    span.enabled()
+                        ? span.record(
+                              strprintf("getbatch c%d launch", chip),
+                              SpanCategory::kLaunch, begin,
+                              cl.sim().now(), span.deps(), chip)
+                        : -1;
                 // Parallel-merge the batch's gets per direction, then
                 // fold into the chip's running totals.
                 auto acc = std::make_shared<std::array<CommStats, 2>>();
@@ -219,31 +214,30 @@ getBatchTask(TorusMesh &mesh, std::shared_ptr<OneSidedState> st,
                         cs.v += (*acc)[1];
                         done();
                     });
-                const bool chain = profe && launch_node >= 0;
-                if (chain)
-                    cl.profiler().beginChain(ptask, {launch_node});
-                for (int cc = 0; cc < cols; ++cc) {
-                    if (cc == c)
-                        continue;
-                    st->comm.get(GetAxis::kRow, r, c, r, cc, h_shard,
-                                 kLaneHorizontalComm,
-                                 [acc, join](const CommStats &s) {
-                                     (*acc)[0].mergeParallel(s);
-                                     join->signal();
-                                 });
-                }
-                for (int rr = 0; rr < rows; ++rr) {
-                    if (rr == r)
-                        continue;
-                    st->comm.get(GetAxis::kCol, r, c, rr, c, v_shard,
-                                 kLaneVerticalComm,
-                                 [acc, join](const CommStats &s) {
-                                     (*acc)[1].mergeParallel(s);
-                                     join->signal();
-                                 });
-                }
-                if (chain)
-                    cl.profiler().endChain();
+                // Each get depends on the launch and registers its own
+                // exit.
+                span.chain(launch_node, [&] {
+                    for (int cc = 0; cc < cols; ++cc) {
+                        if (cc == c)
+                            continue;
+                        st->comm.get(GetAxis::kRow, r, c, r, cc, h_shard,
+                                     kLaneHorizontalComm,
+                                     [acc, join](const CommStats &s) {
+                                         (*acc)[0].mergeParallel(s);
+                                         join->signal();
+                                     });
+                    }
+                    for (int rr = 0; rr < rows; ++rr) {
+                        if (rr == r)
+                            continue;
+                        st->comm.get(GetAxis::kCol, r, c, rr, c, v_shard,
+                                     kLaneVerticalComm,
+                                     [acc, join](const CommStats &s) {
+                                         (*acc)[1].mergeParallel(s);
+                                         join->signal();
+                                     });
+                    }
+                });
             });
     };
 }

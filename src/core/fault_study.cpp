@@ -1,5 +1,6 @@
 #include "core/fault_study.hpp"
 
+#include <optional>
 #include <string>
 
 #include "core/executor.hpp"
@@ -7,10 +8,6 @@
 #include "util/logging.hpp"
 
 namespace meshslice {
-
-namespace {
-
-} // namespace
 
 const FaultStudyEntry *
 FaultStudyResult::find(Algorithm algo) const
@@ -22,38 +19,42 @@ FaultStudyResult::find(Algorithm algo) const
 }
 
 GemmRunResult
+runGemmOnCluster(Cluster &cluster, Algorithm algo, const Gemm2DSpec &spec,
+                 const FaultScenario *scenario,
+                 const std::function<void()> &on_armed)
+{
+    const bool is_1d =
+        algo == Algorithm::kOneDTP || algo == Algorithm::kFsdp;
+    std::optional<RingNetwork> ring;
+    std::optional<TorusMesh> mesh;
+    if (is_1d)
+        ring.emplace(cluster);
+    else
+        mesh.emplace(cluster, spec.rows, spec.cols);
+    FaultInjector injector(cluster.sim(), cluster.net(),
+                           scenario ? *scenario : FaultScenario{});
+    if (scenario) {
+        injector.arm();
+        cluster.attachFaults(&injector);
+        if (on_armed)
+            on_armed();
+    }
+    return is_1d ? runGemm1D(*ring, to1DSpec(spec, algo), algo)
+                 : GemmExecutor(*mesh).run(algo, spec);
+}
+
+GemmRunResult
 runGemmUnderScenario(const ChipConfig &cfg, Algorithm algo,
                      const Gemm2DSpec &spec, const FaultScenario *scenario,
                      StatsRegistry *stats, ExplainRecord *explain)
 {
-    const bool is_1d =
-        algo == Algorithm::kOneDTP || algo == Algorithm::kFsdp;
     Cluster cluster(cfg, spec.chips());
     if (stats != nullptr)
         cluster.stats().enable(true);
     if (explain != nullptr)
         cluster.enableProfiler(true);
-    GemmRunResult result;
-    if (is_1d) {
-        RingNetwork ring(cluster);
-        FaultInjector injector(cluster.sim(), cluster.net(),
-                               scenario ? *scenario : FaultScenario{});
-        if (scenario) {
-            injector.arm();
-            cluster.attachFaults(&injector);
-        }
-        result = runGemm1D(ring, to1DSpec(spec, algo), algo);
-    } else {
-        TorusMesh mesh(cluster, spec.rows, spec.cols);
-        FaultInjector injector(cluster.sim(), cluster.net(),
-                               scenario ? *scenario : FaultScenario{});
-        if (scenario) {
-            injector.arm();
-            cluster.attachFaults(&injector);
-        }
-        GemmExecutor executor(mesh);
-        result = executor.run(algo, spec);
-    }
+    const GemmRunResult result =
+        runGemmOnCluster(cluster, algo, spec, scenario);
     if (explain != nullptr)
         *explain = explainGraph(cluster.profiler().nodes());
     if (stats != nullptr) {

@@ -13,9 +13,11 @@
 #ifndef MESHSLICE_CORE_FAULT_STUDY_HPP_
 #define MESHSLICE_CORE_FAULT_STUDY_HPP_
 
+#include <functional>
 #include <vector>
 
 #include "core/spec.hpp"
+#include "hw/cluster.hpp"
 #include "sim/critical_path.hpp"
 #include "sim/fault.hpp"
 #include "sim/stats.hpp"
@@ -43,6 +45,19 @@ struct FaultStudyResult
 
     const FaultStudyEntry *find(Algorithm algo) const;
 };
+
+/**
+ * Build @p algo's topology on @p cluster (a ring of `spec.chips()`
+ * chips for `kOneDTP` / `kFsdp`, a `spec.rows x spec.cols` torus
+ * otherwise), arm @p scenario on it (nullptr = none) and call
+ * @p on_armed, then run @p spec. The topology registers its resources
+ * before the injector arms, so the scenario's patterns resolve
+ * against them.
+ */
+GemmRunResult runGemmOnCluster(Cluster &cluster, Algorithm algo,
+                               const Gemm2DSpec &spec,
+                               const FaultScenario *scenario,
+                               const std::function<void()> &on_armed = {});
 
 /**
  * Simulate @p algo executing @p spec on a fresh cluster, optionally

@@ -15,6 +15,13 @@
  * Inside a recovery scope the recorded nodes are categorized as
  * recovery detours (like collectives' abort/retry path), so elastic
  * re-shard time attributes to `kRecovery` rather than `kComm`.
+ *
+ * The re-shard, the recovery re-shard and the checkpoint share one
+ * body, a flow batch: launch delay, the flows (started inside the
+ * launch event, so their lazily registered resources keep their
+ * order), a join with one guard signal so an empty batch still
+ * completes, one sync latency, then `done(span)`. They differ only in
+ * the flows they start and in their node names and categories.
  */
 #ifndef MESHSLICE_CORE_RESHARD_EXEC_HPP_
 #define MESHSLICE_CORE_RESHARD_EXEC_HPP_

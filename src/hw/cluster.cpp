@@ -122,15 +122,8 @@ Cluster::runGemm(int chip, const GemmWork &work, std::function<void()> done)
 
     const Time begin = sim_.now();
     const bool tracing = trace_.enabled();
-    const bool prof = profiler_.enabled();
-    // Snapshot the ambient task scope now: the completion callback
-    // runs outside the synchronous task body.
-    const int prof_task = prof ? profiler_.currentTask() : -1;
-    std::vector<int> prof_deps;
-    if (prof)
-        prof_deps = profiler_.ambientDeps();
-    auto cb = [this, chip, begin, tracing, prof, prof_task, flops,
-               prof_deps = std::move(prof_deps),
+    auto cb = [this, chip, begin, tracing, flops,
+               span = SpanContext(profiler_),
                done = std::move(done)]() mutable {
         if (tracing) {
             trace_.record("gemm", "compute", chip, kLaneCompute, begin,
@@ -142,18 +135,13 @@ Cluster::runGemm(int chip, const GemmWork &work, std::function<void()> done)
             stats_.add("gemm/flops", flops);
             stats_.observe("gemm/span_s", sim_.now() - begin);
         }
-        if (prof) {
-            int node = profiler_.addNode(
-                strprintf("gemm c%d", chip), SpanCategory::kCompute,
-                begin, sim_.now(), std::move(prof_deps), chip);
-            profiler_.setNodeResource(node, net_.lastFinishedFlow());
-            profiler_.addTaskExit(prof_task, node);
-            profiler_.beginChain(prof_task, {node});
-            done();
-            profiler_.endChain();
-        } else {
-            done();
-        }
+        const int node =
+            span.enabled()
+                ? span.record(strprintf("gemm c%d", chip),
+                              SpanCategory::kCompute, begin, sim_.now(),
+                              span.deps(), chip, net_.lastFinishedFlow())
+                : -1;
+        span.finish(node, done);
     };
     return net_.startFlow(flops,
                           {Demand{coreOf(chip), core_demand},

@@ -102,22 +102,9 @@ class RingOpBase
     RingOpBase(Cluster &cluster, const Ring &ring, int lane,
                const char *name, CommDone done)
         : cluster_(cluster), ring_(ring), lane_(lane), name_(name),
-          done_(std::move(done)), begin_(cluster.sim().now())
+          done_(std::move(done)), begin_(cluster.sim().now()),
+          span_(cluster.profiler())
     {
-        // Profiler snapshot: the op is constructed inside the task
-        // body (or a recovery scope), but records its span nodes from
-        // event callbacks later, so the ambient context is captured
-        // here. A retry op constructed inside a recovery scope marks
-        // every node as a recovery detour.
-        SpanRecorder &prof = cluster.profiler();
-        profEnabled_ = prof.enabled();
-        if (profEnabled_) {
-            profTask_ = prof.currentTask();
-            profDeps_ = prof.ambientDeps();
-            profRecovery_ = prof.inRecovery();
-            if (prof.recoveryDep() >= 0)
-                profDeps_.push_back(prof.recoveryDep());
-        }
         // An op stranded by a phase abandonment (its remaining events
         // cancelled by `Simulator::requestStop`) is reclaimed by the
         // elastic runtime's abandon sweep. Free when no registry is
@@ -148,11 +135,11 @@ class RingOpBase
         if (FaultInjector *inj = cluster_.faults())
             stats_.launch += inj->nextLaunchJitter();
         launchEvent_ = cluster_.sim().scheduleAfter(stats_.launch, [this] {
-            if (profEnabled_) {
-                profLaunchNode_ = cluster_.profiler().addNode(
-                    strprintf("%s launch", name_),
-                    profCat(SpanCategory::kLaunch), begin_,
-                    cluster_.sim().now(), profDeps_, profChip());
+            if (span_.enabled()) {
+                profLaunchNode_ = span_.record(
+                    strprintf("%s launch", name_), SpanCategory::kLaunch,
+                    begin_, cluster_.sim().now(), span_.deps(),
+                    profChip());
                 profChainPrev_[0] = profLaunchNode_;
                 profChainPrev_[1] = profLaunchNode_;
             }
@@ -282,29 +269,17 @@ class RingOpBase
         // recovery scope: the retry op it constructs inherits both the
         // original task scope (so its exits land where the first
         // attempt's would have) and the detour dependency.
-        Cluster &cl = cluster_;
-        const bool prof = profEnabled_;
-        const int prof_task = profTask_;
-        int abort_node = -1;
-        if (prof) {
-            abort_node = cl.profiler().addNode(
-                strprintf("%s abort", name_), SpanCategory::kRecovery,
-                begin_, cl.sim().now(), profDeps_, profChip());
-        }
+        const SpanContext span = std::move(span_);
+        const int abort_node =
+            span.enabled()
+                ? span.record(strprintf("%s abort", name_),
+                              SpanCategory::kRecovery, begin_,
+                              cluster_.sim().now(), span.deps(),
+                              profChip())
+                : -1;
         CommFail fail = std::move(fail_);
         delete this;
-        if (prof) {
-            SpanRecorder &p = cl.profiler();
-            if (prof_task >= 0)
-                p.beginTask(prof_task);
-            p.beginRecovery(abort_node);
-            fail(err);
-            p.endRecovery();
-            if (prof_task >= 0)
-                p.endTask();
-        } else {
-            fail(err);
-        }
+        span.recover(abort_node, [&] { fail(err); });
     }
 
     /** Subclass: begin step @p step of @p chain; call stepFlows(). */
@@ -326,7 +301,7 @@ class RingOpBase
             panic("RingOpBase: step with no flows");
         }
         const Time step_begin = cluster_.sim().now();
-        if (profEnabled_) {
+        if (span_.enabled()) {
             profCurrentChain_ = chain;
             profAccum_[chain] = FlowInfoAccum{};
         }
@@ -345,24 +320,20 @@ class RingOpBase
                     lane_, cluster_.sim().now());
             }
             const Time sync = cluster_.config().syncLatency;
-            if (profEnabled_) {
+            if (span_.enabled()) {
                 // One transfer node per ring step, chained per
                 // direction; a fixed-latency sync node follows it.
-                SpanRecorder &prof = cluster_.profiler();
                 const int prev = profChainPrev_[chain];
-                std::vector<int> deps =
-                    prev >= 0 ? std::vector<int>{prev} : profDeps_;
                 const Time now = cluster_.sim().now();
-                int node = prof.addNode(
+                const int node = span_.record(
                     strprintf("%s s%d.%d", name_, chain, step),
-                    profCat(SpanCategory::kComm), step_begin, now,
-                    std::move(deps), profChip());
-                if (profAccum_[chain].info.valid)
-                    prof.setNodeResource(node, profAccum_[chain].info);
-                profChainPrev_[chain] = prof.addNode(
+                    SpanCategory::kComm, step_begin, now,
+                    prev >= 0 ? std::vector<int>{prev} : span_.deps(),
+                    profChip(), profAccum_[chain].info);
+                profChainPrev_[chain] = span_.record(
                     strprintf("%s y%d.%d", name_, chain, step),
-                    profCat(SpanCategory::kSync), now, now + sync,
-                    {node}, profChip());
+                    SpanCategory::kSync, now, now + sync, {node},
+                    profChip());
             }
             chainSync_[chain] =
                 cluster_.sim().scheduleAfter(sync, [this, chain, step] {
@@ -392,7 +363,7 @@ class RingOpBase
                     : ring_.bwd[static_cast<size_t>(pos)];
         cluster_.noteCommBytes(bytes);
         std::function<void()> on_done;
-        if (profEnabled_) {
+        if (span_.enabled()) {
             // Fold each flow's binding/throttle info into the step's
             // accumulator before signalling the join.
             const int chain = profCurrentChain_;
@@ -451,10 +422,9 @@ class RingOpBase
                    static_cast<double>(stats_.bytesPerLink));
         }
         std::vector<int> exits;
-        if (profEnabled_) {
+        if (span_.enabled()) {
             // The op's exits are each chain's final sync node (falling
             // back to the launch node for a chain that never stepped).
-            SpanRecorder &prof = cluster_.profiler();
             for (int chain = 0; chain < 2; ++chain) {
                 const int node = profChainPrev_[chain];
                 if (node >= 0 && node != profLaunchNode_)
@@ -462,23 +432,14 @@ class RingOpBase
             }
             if (exits.empty() && profLaunchNode_ >= 0)
                 exits.push_back(profLaunchNode_);
-            for (int node : exits)
-                prof.addTaskExit(profTask_, node);
         }
-        Cluster &cl = cluster_;
-        const bool prof_chain = profEnabled_ && !exits.empty();
-        const int prof_task = profTask_;
+        const SpanContext span = std::move(span_);
         CommDone done = std::move(done_);
         CommStats stats = stats_;
         delete this;
-        // Run the continuation inside a chain scope so a follow-on op
-        // constructed in the callback (e.g. AllReduce's AG after RdS)
-        // depends on this op's final nodes.
-        if (prof_chain)
-            cl.profiler().beginChain(prof_task, std::move(exits));
-        done(stats);
-        if (prof_chain)
-            cl.profiler().endChain();
+        // A follow-on op constructed in the callback (e.g. AllReduce's
+        // AG after RdS) depends on this op's final nodes.
+        span.finish(std::move(exits), [&] { done(stats); });
     }
 
     Cluster &cluster_;
@@ -514,18 +475,8 @@ class RingOpBase
     {
         return ring_.chips.empty() ? -1 : ring_.chips[0];
     }
-    /** Category override for ops constructed inside a recovery scope
-     *  (their nodes are recorded after the scope closed). */
-    SpanCategory
-    profCat(SpanCategory cat) const
-    {
-        return profRecovery_ ? SpanCategory::kRecovery : cat;
-    }
-
-    bool profEnabled_ = false;
-    int profTask_ = -1;          ///< ambient task scope at construction
-    std::vector<int> profDeps_;  ///< entry deps (incl. recovery root)
-    bool profRecovery_ = false;
+    /** Captured at construction: the op records from callbacks. */
+    SpanContext span_;
     int profLaunchNode_ = -1;
     /** Latest recorded node per chain (next step's dependency). */
     int profChainPrev_[2] = {-1, -1};

@@ -57,21 +57,9 @@ class OneSidedGetOp
                   int dst_pos, Bytes bytes, int lane, CommDone done)
         : comm_(comm), cluster_(comm.mesh().cluster()), ring_(ring),
           srcPos_(src_pos), dstPos_(dst_pos), bytes_(bytes), lane_(lane),
-          done_(std::move(done)), begin_(cluster_.sim().now())
+          done_(std::move(done)), begin_(cluster_.sim().now()),
+          span_(cluster_.profiler())
     {
-        // Profiler snapshot (same pattern as the collectives): the op
-        // is constructed inside a task body or chain scope but records
-        // its nodes from event callbacks later.
-        SpanRecorder &prof = cluster_.profiler();
-        profEnabled_ = prof.enabled();
-        if (profEnabled_) {
-            profTask_ = prof.currentTask();
-            profDeps_ = prof.ambientDeps();
-            profRecovery_ = prof.inRecovery();
-            if (prof.recoveryDep() >= 0)
-                profDeps_.push_back(prof.recoveryDep());
-        }
-
         const int n = ring_.size();
         const int fwd_hops = (dstPos_ - srcPos_ + n) % n;
         const int bwd_hops = n - fwd_hops;
@@ -106,7 +94,14 @@ class OneSidedGetOp
             return;
         }
         if (comm_.isKnownDead(srcChip())) {
-            redirectToReplica();
+            // The source is a known corpse: skip the doomed attempt (no
+            // second detection window) and redirect to the replica.
+            // This counts as the get's one retry, so a further kill on
+            // the replica path still exhausts the budget.
+            StatsRegistry &st = cluster_.stats();
+            if (st.enabled())
+                st.add("onesided/get/redirect", 1.0);
+            retryOverDetour(srcChip(), true);
             return;
         }
         armFailStop(links);
@@ -116,12 +111,6 @@ class OneSidedGetOp
   private:
     int srcChip() const { return ring_.chips[static_cast<size_t>(srcPos_)]; }
     int dstChip() const { return ring_.chips[static_cast<size_t>(dstPos_)]; }
-
-    SpanCategory
-    profCat(SpanCategory cat) const
-    {
-        return profRecovery_ ? SpanCategory::kRecovery : cat;
-    }
 
     /** Schedule the abort for the earliest kill among the resources the
      *  current attempt depends on (guarded by hasKills, so kill-free
@@ -196,42 +185,31 @@ class OneSidedGetOp
                                     begin_, cluster_.sim().now());
         }
         std::vector<int> exits;
-        if (profEnabled_) {
-            SpanRecorder &prof = cluster_.profiler();
+        if (span_.enabled()) {
             // The retry leg is a recovery detour rooted at the abort
             // marker; a clean get is a comm span.
-            const int node = prof.addNode(
+            exits.push_back(span_.record(
                 strprintf("get c%d<-c%d%s", dstChip(), srcChip(),
                           retried_ ? " retry" : ""),
-                retried_ ? SpanCategory::kRecovery
-                         : profCat(SpanCategory::kComm),
+                retried_ ? SpanCategory::kRecovery : SpanCategory::kComm,
                 retried_ ? retryBegin_ : begin_, cluster_.sim().now(),
                 retried_ && abortNode_ >= 0 ? std::vector<int>{abortNode_}
-                                            : profDeps_,
-                dstChip());
-            prof.setNodeResource(node, cluster_.net().lastFinishedFlow());
-            prof.addTaskExit(profTask_, node);
-            exits.push_back(node);
+                                            : span_.deps(),
+                dstChip(), cluster_.net().lastFinishedFlow()));
         }
         finish(stats, std::move(exits));
     }
 
-    /** Call `done` inside a chain scope on the final node(s) so the
-     *  continuation (e.g. the compute fed by this get's join) records
-     *  its dependency on the get. */
+    /** Register @p exits and call `done` inside a chain scope on them,
+     *  so the continuation (e.g. the compute fed by this get's join)
+     *  records its dependency on the get. */
     void
     finish(const CommStats &stats, std::vector<int> exits)
     {
-        Cluster &cl = cluster_;
-        const bool prof_chain = profEnabled_ && !exits.empty();
-        const int prof_task = profTask_;
+        const SpanContext span = std::move(span_);
         CommDone done = std::move(done_);
         delete this;
-        if (prof_chain)
-            cl.profiler().beginChain(prof_task, std::move(exits));
-        done(stats);
-        if (prof_chain)
-            cl.profiler().endChain();
+        span.finish(std::move(exits), [&] { done(stats); });
     }
 
     /**
@@ -282,11 +260,11 @@ class OneSidedGetOp
         if (st.enabled())
             st.add("onesided/get/abort", 1.0);
 
-        if (profEnabled_) {
-            abortNode_ = cluster_.profiler().addNode(
+        if (span_.enabled()) {
+            abortNode_ = span_.record(
                 strprintf("get c%d<-c%d abort", dstChip(), srcChip()),
                 SpanCategory::kRecovery, begin_, cluster_.sim().now(),
-                profDeps_, dstChip());
+                span_.deps(), dstChip());
         }
 
         if (retried_) {
@@ -308,23 +286,29 @@ class OneSidedGetOp
             stats.total = cluster_.sim().now() - begin_;
             stats.transfer = stats.total;
             std::vector<int> exits;
-            if (abortNode_ >= 0) {
-                cluster_.profiler().addTaskExit(profTask_, abortNode_);
+            if (abortNode_ >= 0)
                 exits.push_back(abortNode_);
-            }
             finish(stats, std::move(exits));
             return;
         }
 
-        // Retry once over the corpse's shared detour resource. A dead
-        // source's slice is re-read from its ring-neighbour replica
-        // (the chip that would have forwarded it in a ring collective);
-        // a dead path link keeps the original source and just routes
-        // around the failure.
+        retryOverDetour(corpse_chip, corpse == src_hbm);
+    }
+
+    /**
+     * The get's one retry: stream over @p corpse_chip's shared detour
+     * resource. A dead source (@p from_replica) is re-read from its
+     * ring-neighbour replica, the chip that would have forwarded its
+     * slice in a ring collective; a dead path link keeps the original
+     * source and just routes around the failure.
+     */
+    void
+    retryOverDetour(int corpse_chip, bool from_replica)
+    {
         retried_ = true;
         retryBegin_ = cluster_.sim().now();
         int retry_src = srcChip();
-        if (corpse == src_hbm) {
+        if (from_replica) {
             const int n = ring_.size();
             int pos = (srcPos_ + 1) % n;
             if (pos == dstPos_)
@@ -333,32 +317,6 @@ class OneSidedGetOp
             // the replica is local and the "get" is an HBM-side re-read.
             retry_src = ring_.chips[static_cast<size_t>(pos)];
         }
-        const ResourceId detour = comm_.detourAround(corpse_chip);
-        armRetryFailStop(retry_src);
-        startFlow(retry_src, {detour});
-    }
-
-    /** The source was already a known corpse when this get was issued:
-     *  skip the doomed attempt (no second detection window) and read
-     *  the slice from its ring-neighbour replica over the corpse's
-     *  shared detour. Counts as the get's one retry, so a further kill
-     *  on the replica path still exhausts the budget. */
-    void
-    redirectToReplica()
-    {
-        retried_ = true;
-        retryBegin_ = begin_;
-        StatsRegistry &st = cluster_.stats();
-        if (st.enabled())
-            st.add("onesided/get/redirect", 1.0);
-        const int corpse_chip = srcChip();
-        const int n = ring_.size();
-        int pos = (srcPos_ + 1) % n;
-        if (pos == dstPos_)
-            pos = (srcPos_ - 1 + n) % n;
-        // On a 2-ring the only survivor is the destination itself: the
-        // replica is local and the "get" is an HBM-side re-read.
-        const int retry_src = ring_.chips[static_cast<size_t>(pos)];
         const ResourceId detour = comm_.detourAround(corpse_chip);
         armRetryFailStop(retry_src);
         startFlow(retry_src, {detour});
@@ -410,10 +368,7 @@ class OneSidedGetOp
     EventId abortEvent_;
     bool retried_ = false;
 
-    bool profEnabled_ = false;
-    int profTask_ = -1;
-    std::vector<int> profDeps_;
-    bool profRecovery_ = false;
+    SpanContext span_;
     int abortNode_ = -1;
 };
 

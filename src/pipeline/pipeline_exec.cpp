@@ -151,54 +151,43 @@ runPipeline(PipelineCluster &pc, const PipelineExecSpec &spec)
                          n_pos, charge = spec.chargeLaunch](
                             std::function<void()> done) {
                 const Time begin = sim.now();
-                // Profiler context: the boundary transfer becomes one
-                // comm node (preceded by a launch node when charged);
-                // snapshot the ambient task before going async.
-                SpanRecorder &prof = cluster.profiler();
-                const bool profiling = prof.enabled();
-                const int prof_task =
-                    profiling ? prof.currentTask() : -1;
-                auto prof_deps = std::make_shared<std::vector<int>>();
-                std::shared_ptr<FlowInfoAccum> accum;
-                if (profiling) {
-                    *prof_deps = prof.ambientDeps();
-                    accum = std::make_shared<FlowInfoAccum>();
-                }
+                // The boundary transfer becomes one comm node, preceded
+                // by a launch node when charged.
                 auto launch = [&pc, &cluster, state, stage, boundary,
                                backward, per_pos_bytes, n_pos, begin,
-                               &sim, charge, profiling, prof_task,
-                               prof_deps, accum,
+                               &sim, charge,
+                               span = SpanContext(cluster.profiler()),
                                done = std::move(done)]() {
-                    if (profiling && charge) {
-                        const int lnode = cluster.profiler().addNode(
-                            strprintf("pp launch b%d", boundary),
-                            SpanCategory::kLaunch, begin, sim.now(),
-                            *prof_deps, stage);
-                        *prof_deps = {lnode};
+                    std::vector<int> deps = span.deps();
+                    std::shared_ptr<FlowInfoAccum> accum;
+                    if (span.enabled()) {
+                        if (charge)
+                            deps = {span.record(
+                                strprintf("pp launch b%d", boundary),
+                                SpanCategory::kLaunch, begin, sim.now(),
+                                span.deps(), stage)};
+                        accum = std::make_shared<FlowInfoAccum>();
                     }
                     const Time xfer_begin = sim.now();
                     Join *join = Join::create(
-                        n_pos, [&cluster, state, stage, boundary,
-                                backward, begin, xfer_begin, &sim,
-                                profiling, prof_task, prof_deps, accum,
+                        n_pos, [state, stage, boundary, backward, begin,
+                                xfer_begin, &sim, span, accum,
+                                deps = std::move(deps),
                                 done = std::move(done)]() {
                             state->stageComm[static_cast<size_t>(
                                 stage)] += sim.now() - begin;
-                            if (profiling) {
-                                SpanRecorder &p = cluster.profiler();
-                                const int node = p.addNode(
-                                    strprintf("%s b%d",
-                                              backward ? "send-"
-                                                       : "send+",
-                                              boundary),
-                                    SpanCategory::kComm, xfer_begin,
-                                    sim.now(), *prof_deps, stage);
-                                if (accum->info.valid)
-                                    p.setNodeResource(node,
-                                                      accum->info);
-                                p.addTaskExit(prof_task, node);
-                            }
-                            done();
+                            const int node =
+                                span.enabled()
+                                    ? span.record(
+                                          strprintf("%s b%d",
+                                                    backward ? "send-"
+                                                             : "send+",
+                                                    boundary),
+                                          SpanCategory::kComm,
+                                          xfer_begin, sim.now(), deps,
+                                          stage, accum->info)
+                                    : -1;
+                            span.finish(node, done);
                         });
                     const int rows = pc.rows();
                     const int cols = pc.cols();
@@ -224,7 +213,7 @@ runPipeline(PipelineCluster &pc, const PipelineExecSpec &spec)
                                  1.0},
                             };
                             std::function<void()> on_done;
-                            if (profiling) {
+                            if (accum) {
                                 on_done = [&cluster, accum, join]() {
                                     accum->fold(cluster.net()
                                                     .lastFinishedFlow());
@@ -255,19 +244,14 @@ runPipeline(PipelineCluster &pc, const PipelineExecSpec &spec)
                      backward = t.backward,
                      n_pos](std::function<void()> done) {
             const Time begin = sim.now();
-            SpanRecorder &prof = cluster.profiler();
-            const bool profiling = prof.enabled();
-            const int prof_task = profiling ? prof.currentTask() : -1;
-            auto prof_deps = std::make_shared<std::vector<int>>();
+            const SpanContext span(cluster.profiler());
             std::shared_ptr<FlowInfoAccum> accum;
-            if (profiling) {
-                *prof_deps = prof.ambientDeps();
+            if (span.enabled())
                 accum = std::make_shared<FlowInfoAccum>();
-            }
             Join *join = Join::create(
                 n_pos, [&cluster, &sim, state, stage, begin, micro,
-                        chunk, backward, profiling, prof_task,
-                        prof_deps, accum, done = std::move(done)]() {
+                        chunk, backward, span, accum,
+                        done = std::move(done)]() {
                     const Time end = sim.now();
                     state->stageCompute[static_cast<size_t>(stage)] +=
                         end - begin;
@@ -280,26 +264,23 @@ runPipeline(PipelineCluster &pc, const PipelineExecSpec &spec)
                             "pipeline", chip, kLaneCompute, begin,
                             end);
                     }
-                    if (profiling) {
-                        SpanRecorder &p = cluster.profiler();
-                        const int node = p.addNode(
-                            strprintf("%s m%d v%d s%d",
-                                      backward ? "B" : "F", micro,
-                                      chunk, stage),
-                            SpanCategory::kCompute, begin, end,
-                            *prof_deps, stage);
-                        if (accum->info.valid)
-                            p.setNodeResource(node, accum->info);
-                        p.addTaskExit(prof_task, node);
-                    }
-                    done();
+                    const int node =
+                        span.enabled()
+                            ? span.record(strprintf("%s m%d v%d s%d",
+                                                    backward ? "B" : "F",
+                                                    micro, chunk, stage),
+                                          SpanCategory::kCompute, begin,
+                                          end, span.deps(), stage,
+                                          accum->info)
+                            : -1;
+                    span.finish(node, done);
                 });
             const double peak = cluster.config().peakFlops;
             for (int r = 0; r < pc.rows(); ++r)
                 for (int c = 0; c < pc.cols(); ++c) {
                     const int chip = pc.chipAt(stage, r, c);
                     std::function<void()> on_done;
-                    if (profiling) {
+                    if (accum) {
                         on_done = [&cluster, accum, join]() {
                             accum->fold(
                                 cluster.net().lastFinishedFlow());

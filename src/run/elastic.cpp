@@ -7,10 +7,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/executor.hpp"
+#include "core/fault_study.hpp"
 #include "core/reshard_exec.hpp"
 #include "gemm/reshard.hpp"
-#include "net/topology.hpp"
 #include "pipeline/pipeline_exec.hpp"
 #include "sim/abandon.hpp"
 #include "sim/stats.hpp"
@@ -160,8 +159,6 @@ runGemmStepPhase(const ChipConfig &cfg, Algorithm algo,
                  bool profile)
 {
     PhaseOut out;
-    const bool is_1d =
-        algo == Algorithm::kOneDTP || algo == Algorithm::kFsdp;
     Cluster cluster(cfg, spec.chips());
     // Declared after the cluster so the destructor sweep (reclaiming
     // ring ops / joins orphaned by a mid-schedule abort) runs while
@@ -170,8 +167,6 @@ runGemmStepPhase(const ChipConfig &cfg, Algorithm algo,
     ScopedAbandonRegistry abandonScope(abandoned);
     if (profile)
         cluster.enableProfiler(true);
-    FaultInjector injector(cluster.sim(), cluster.net(),
-                           sliced ? *sliced : FaultScenario{});
     bool handler_failed = false;
     Cluster::Failure handler_failure;
     cluster.setFailStopHandler([&](const Cluster::Failure &f) {
@@ -180,25 +175,9 @@ runGemmStepPhase(const ChipConfig &cfg, Algorithm algo,
             handler_failure = f;
         }
     });
-    GemmRunResult res;
-    if (is_1d) {
-        RingNetwork ring(cluster);
-        if (sliced) {
-            injector.arm();
-            cluster.attachFaults(&injector);
-            armElasticWatchdog(cluster, *sliced);
-        }
-        res = runGemm1D(ring, to1DSpec(spec, algo), algo);
-    } else {
-        TorusMesh mesh(cluster, spec.rows, spec.cols);
-        if (sliced) {
-            injector.arm();
-            cluster.attachFaults(&injector);
-            armElasticWatchdog(cluster, *sliced);
-        }
-        GemmExecutor executor(mesh);
-        res = executor.run(algo, spec);
-    }
+    const GemmRunResult res = runGemmOnCluster(
+        cluster, algo, spec, sliced,
+        [&] { armElasticWatchdog(cluster, *sliced); });
     out.events = cluster.sim().eventsProcessed();
     classifyKill(sliced, spec.chips(), res.time, handler_failed,
                  handler_failure, out);

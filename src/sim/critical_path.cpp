@@ -222,6 +222,36 @@ SpanRecorder::endRecovery()
         recoveryDep_ = -1;
 }
 
+// --- SpanContext -----------------------------------------------------
+
+SpanContext::SpanContext(SpanRecorder &rec)
+{
+    if (!rec.enabled())
+        return;
+    rec_ = &rec;
+    task_ = rec.currentTask();
+    deps_ = rec.ambientDeps();
+    recovery_ = rec.inRecovery();
+    const int root = rec.recoveryDep();
+    if (root >= 0 &&
+        std::find(deps_.begin(), deps_.end(), root) == deps_.end())
+        deps_.push_back(root);
+}
+
+int
+SpanContext::record(std::string name, SpanCategory cat, Time begin,
+                    Time end, std::vector<int> deps, int chip,
+                    const FlowEndInfo &flow) const
+{
+    if (!enabled())
+        return -1;
+    const int node = rec_->addNode(
+        std::move(name), recovery_ ? SpanCategory::kRecovery : cat, begin,
+        end, std::move(deps), chip);
+    rec_->setNodeResource(node, flow);
+    return node;
+}
+
 // --- analysis --------------------------------------------------------
 
 double

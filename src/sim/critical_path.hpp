@@ -11,7 +11,14 @@
  * task's first nodes depend on the exit nodes of its dependency
  * tasks), intra-operation ordering (ring step s+1 depends on step s),
  * and recovery detours (a retried collective depends on the abort
- * marker of the failed attempt). The fluid network additionally
+ * marker of the failed attempt). Every op captures those edges the
+ * same way: a `SpanContext` taken synchronously when the op starts
+ * (in the task body, chain or recovery scope that started it), which
+ * the op records through from its event callbacks and finishes with
+ * (exits on the task, `done` inside a chain scope). Only `TaskGraph`
+ * opens task scopes, and only callers that stage a detour open
+ * recovery scopes; the ambient reads behind them are private to the
+ * recorder and its `SpanContext`. The fluid network additionally
  * publishes, per finished flow, which resource was rate-limiting
  * ("binding"), how many seconds contention cost the flow, and the
  * per-resource-class solo-service floors — enough to replay the graph
@@ -41,6 +48,7 @@
 
 #include <atomic>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/units.hpp"
@@ -159,16 +167,32 @@ class SpanRecorder
 
     // --- TaskGraph integration -----------------------------------
     // The TaskGraph allocates one scope per task; while a task body
-    // runs synchronously the scope is "ambient", so operations started
-    // inside capture it and later register their final nodes as the
-    // task's exits. A task that records no nodes forwards its entry
-    // deps as exits, keeping cross-task edges transitive.
+    // runs synchronously the scope is "ambient", so an op started
+    // inside captures it in its `SpanContext` and later registers its
+    // final nodes as the task's exits. A task that records no nodes
+    // forwards its entry deps as exits, keeping cross-task edges
+    // transitive.
 
     /** Allocate a task scope depending on earlier scopes. */
     int newTask(const std::vector<int> &dep_tasks);
     /** Push/pop the ambient task around the synchronous task body. */
     void beginTask(int task);
     void endTask();
+    /** Task completed: forward entry deps if it recorded no exits. */
+    void finishTask(int task);
+
+    // --- recovery scopes -----------------------------------------
+
+    /** Open a recovery scope rooted at @p dep_node (an abort marker);
+     *  nodes recorded while open become `kRecovery` detours. */
+    void beginRecovery(int dep_node);
+    void endRecovery();
+
+  private:
+    // The ambient-scope protocol below is read and extended only by
+    // `SpanContext`, so every op captures and finishes the same way.
+    friend class SpanContext;
+
     /** Ambient task scope, or -1 outside any task body. */
     int currentTask() const;
     /** Entry deps of @p task: union of its dep tasks' exit nodes. */
@@ -178,29 +202,19 @@ class SpanRecorder
     std::vector<int> ambientDeps() const;
     /** Register @p node as an exit of @p task (-1 task ignored). */
     void addTaskExit(int task, int node);
-    /** Task completed: forward entry deps if it recorded no exits. */
-    void finishTask(int task);
 
     /**
      * Push a completion-chain scope: while open, `ambientDeps()`
-     * returns @p deps and `currentTask()` returns @p task. Operations
-     * wrap their `done` continuation in one of these so a follow-on
-     * op constructed inside the callback (outside any task body)
-     * still depends on this op's final nodes.
+     * returns @p deps and `currentTask()` returns @p task, so a
+     * follow-on op constructed inside an op's `done` callback (outside
+     * any task body) still depends on that op's final nodes.
      */
     void beginChain(int task, std::vector<int> deps);
     void endChain();
 
-    // --- recovery scopes -----------------------------------------
-
-    /** Open a recovery scope rooted at @p dep_node (an abort marker);
-     *  nodes recorded while open become `kRecovery` detours. */
-    void beginRecovery(int dep_node);
-    void endRecovery();
     bool inRecovery() const { return recoveryDepth_ > 0; }
     int recoveryDep() const { return recoveryDep_; }
 
-  private:
     struct TaskScope
     {
         std::vector<int> depTasks;
@@ -221,6 +235,118 @@ class SpanRecorder
     std::vector<Scope> ambient_; ///< stack of active scopes
     int recoveryDepth_ = 0;
     int recoveryDep_ = -1;
+};
+
+/**
+ * The span-graph context of one simulated op. Every op (a collective,
+ * a GeMM flow, a get, a re-shard, a pipeline task) captures one
+ * synchronously when it starts, because it records its nodes later
+ * from event callbacks, after the task body or recovery scope that
+ * started it has returned. It holds the ambient task, the entry deps
+ * (the ambient task's or chain's deps, plus the recovery root once)
+ * and whether the op started inside a recovery scope, in which case
+ * every node it records is a `kRecovery` detour.
+ *
+ * A context captured while the recorder is off costs one relaxed
+ * atomic load, allocates nothing, and records nothing; `finish` and
+ * `recover` then just run their continuation.
+ */
+class SpanContext
+{
+  public:
+    /** A disabled context. */
+    SpanContext() = default;
+    /** Capture @p rec's ambient task, deps and recovery scope now. */
+    explicit SpanContext(SpanRecorder &rec);
+
+    bool enabled() const { return rec_ != nullptr; }
+    /** Deps of the op's first node. */
+    const std::vector<int> &deps() const { return deps_; }
+
+    /**
+     * Append a node (see `SpanRecorder::addNode`), as `kRecovery` if
+     * the op started in a recovery scope, and attach @p flow's
+     * binding and floors when it is valid. -1 while disabled.
+     */
+    int record(std::string name, SpanCategory cat, Time begin, Time end,
+               std::vector<int> deps, int chip,
+               const FlowEndInfo &flow = FlowEndInfo{}) const;
+
+    /**
+     * The op is done: register @p exits as its task's exits, then run
+     * @p fn inside a chain scope on them, so a follow-on op started in
+     * @p fn depends on this op's final nodes. With no exits (or
+     * disabled) @p fn runs bare.
+     */
+    template <class Fn>
+    void
+    finish(std::vector<int> exits, Fn &&fn) const
+    {
+        if (!enabled() || exits.empty()) {
+            fn();
+            return;
+        }
+        for (int node : exits)
+            rec_->addTaskExit(task_, node);
+        rec_->beginChain(task_, std::move(exits));
+        fn();
+        rec_->endChain();
+    }
+
+    /** `finish` with one exit node (-1: none, as while disabled). */
+    template <class Fn>
+    void
+    finish(int exit, Fn &&fn) const
+    {
+        if (exit < 0)
+            fn();
+        else
+            finish(std::vector<int>{exit}, std::forward<Fn>(fn));
+    }
+
+    /** Run @p fn inside a chain scope on @p node (-1: bare) without
+     *  registering exits: the sub-ops @p fn starts register their own. */
+    template <class Fn>
+    void
+    chain(int node, Fn &&fn) const
+    {
+        if (!enabled() || node < 0) {
+            fn();
+            return;
+        }
+        rec_->beginChain(task_, {node});
+        fn();
+        rec_->endChain();
+    }
+
+    /**
+     * Run the op's failure continuation @p fn inside its task scope
+     * and a recovery scope rooted at @p abort_node, so the retry op
+     * @p fn starts inherits both: its exits land where this op's would
+     * have, and its nodes are detours depending on the abort marker.
+     */
+    template <class Fn>
+    void
+    recover(int abort_node, Fn &&fn) const
+    {
+        if (!enabled()) {
+            fn();
+            return;
+        }
+        if (task_ >= 0)
+            rec_->beginTask(task_);
+        rec_->beginRecovery(abort_node);
+        fn();
+        rec_->endRecovery();
+        if (task_ >= 0)
+            rec_->endTask();
+    }
+
+  private:
+    SpanRecorder *rec_ = nullptr; ///< null while disabled
+    int task_ = -1;
+    bool recovery_ = false;
+    std::vector<int> deps_;
 };
 
 /** One segment of the extracted critical path. `node` is -1 for idle

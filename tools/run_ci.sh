@@ -14,9 +14,12 @@
 # the `pipeline_smoke` and `sec22_cluster_plan` tests, so the phase-3
 # tuner and the cluster-plan estimator do too, and the
 # `sec7_25d_traffic` and `scaling_study` tests, so the 2.5D,
-# MeshSlice+DP and 1D ring timed paths do as well. The
-# release leg finishes with a bench-diff report: the smoke BENCH
-# artifacts are regenerated and compared against the previous run's
+# MeshSlice+DP and 1D ring timed paths do as well, and the
+# `observability_smoke`, `table3_real_hw`, `fig15_costmodel`,
+# `ablation_overheads` and `fig4_timelines` tests, so the telemetry
+# report, the remaining fast paper benches and the Fig 4 trace do
+# too. The release leg finishes with a bench-diff report: the smoke
+# BENCH artifacts are regenerated and compared against the previous run's
 # via tools/bench_diff.py (throughput keys gated at 20%, embedded
 # cross-checks must stay true).
 #
