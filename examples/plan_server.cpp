@@ -184,15 +184,9 @@ main(int argc, char **argv)
         const std::string ctx = strprintf("%s:%zu", source.c_str(),
                                           lineno);
         const JsonValue root = parseJson(line, "PlanQuery", ctx);
-        std::string id;
-        if (const JsonValue *idv = root.find("id")) {
-            if (idv->kind != JsonValue::kString)
-                fatal("PlanQuery: %s: \"id\" must be a string",
-                      ctx.c_str());
-            id = idv->str;
-        }
         queries.push_back(planQueryFromValue(root, chip, ctx));
-        ids.push_back(id);
+        ids.emplace_back();
+        JsonReader(root, "PlanQuery", ctx).opt("id", ids.back());
     }
 
     const std::vector<PlanResult> results = engine.planMany(queries);

@@ -98,6 +98,15 @@ struct Gemm2DSpec
         return 2.0 * static_cast<double>(m) * static_cast<double>(k) *
                static_cast<double>(n);
     }
+    /** Bytes of the live state a re-shard migrates: all three operands
+     *  (A, B and the accumulated C). */
+    double liveStateBytes() const
+    {
+        return static_cast<double>(bytesPerElement) *
+               (static_cast<double>(m) * static_cast<double>(k) +
+                static_cast<double>(k) * static_cast<double>(n) +
+                static_cast<double>(m) * static_cast<double>(n));
+    }
     std::string str() const;
 };
 

@@ -115,43 +115,23 @@ void
 PlanCache::load(const std::string &text, const std::string &context)
 {
     const JsonValue root = parseJson(text, "PlanCache", context);
-    if (root.kind != JsonValue::kObject)
-        fatal("PlanCache: %s: top-level value must be an object",
-              context.c_str());
-    const JsonValue *entries = root.find("entries");
-    if (entries == nullptr || entries->kind != JsonValue::kArray)
-        fatal("PlanCache: %s: missing \"entries\" array",
-              context.c_str());
+    JsonReader r(root, "PlanCache", context);
     lru_.clear();
     index_.clear();
-    for (size_t i = 0; i < entries->arr.size(); ++i) {
-        const JsonValue &e = entries->arr[i];
-        if (e.kind != JsonValue::kObject)
-            fatal("PlanCache: %s: entry %zu must be an object",
-                  context.c_str(), i);
-        const JsonValue *key = e.find("key");
-        const JsonValue *base = e.find("base");
-        const JsonValue *plan = e.find("plan");
-        const JsonValue *shortlist = e.find("shortlist");
-        if (key == nullptr || key->kind != JsonValue::kString ||
-            base == nullptr || base->kind != JsonValue::kString ||
-            plan == nullptr || plan->kind != JsonValue::kString ||
-            shortlist == nullptr ||
-            shortlist->kind != JsonValue::kString)
-            fatal("PlanCache: %s: entry %zu needs string "
-                  "key/base/plan/shortlist", context.c_str(), i);
+    size_t i = 0;
+    r.each("entries", [&](JsonReader &e) {
         const std::string where =
-            strprintf("%s entry %zu", context.c_str(), i);
-        EnginePlan parsed_plan =
-            enginePlanFromJson(plan->str, where + " plan");
-        std::vector<AutotuneResult> parsed_shortlist =
-            shortlistFromJson(shortlist->str, where + " shortlist");
-        if (parsed_shortlist.empty())
+            strprintf("%s entry %zu", context.c_str(), i++);
+        EnginePlan plan =
+            enginePlanFromJson(e.get<std::string>("plan"), where + " plan");
+        std::vector<AutotuneResult> shortlist = shortlistFromJson(
+            e.get<std::string>("shortlist"), where + " shortlist");
+        if (shortlist.empty())
             fatal("PlanCache: %s: empty shortlist", where.c_str());
-        insert(key->str, base->str,
-               makeCachedPlan(std::move(parsed_plan),
-                              std::move(parsed_shortlist)));
-    }
+        insert(e.get<std::string>("key"), e.get<std::string>("base"),
+               makeCachedPlan(std::move(plan), std::move(shortlist)));
+    });
+    r.finish();
 }
 
 void

@@ -1,7 +1,5 @@
 #include "engine/plan_json.hpp"
 
-#include <cmath>
-#include <initializer_list>
 #include <string>
 
 #include "util/logging.hpp"
@@ -9,81 +7,6 @@
 namespace meshslice {
 
 namespace {
-
-// ---------------------------------------------------------------- parse
-// Semantic accessors over a parsed JsonValue. Every failure is a fatal
-// naming the key path and the source, matching the positional contract
-// of parseJson (which already covers syntax errors with byte offsets).
-
-const JsonValue &
-memberAt(const JsonValue &obj, const char *path, const char *key,
-         const std::string &ctx)
-{
-    if (obj.kind != JsonValue::kObject)
-        fatal("%s: \"%s\" must be an object", ctx.c_str(), path);
-    const JsonValue *v = obj.find(key);
-    if (v == nullptr)
-        fatal("%s: missing key \"%s.%s\"", ctx.c_str(), path, key);
-    return *v;
-}
-
-double
-numberAt(const JsonValue &obj, const char *path, const char *key,
-         const std::string &ctx)
-{
-    const JsonValue &v = memberAt(obj, path, key, ctx);
-    if (v.kind != JsonValue::kNumber)
-        fatal("%s: \"%s.%s\" must be a number", ctx.c_str(), path, key);
-    return v.number;
-}
-
-std::int64_t
-i64At(const JsonValue &obj, const char *path, const char *key,
-      const std::string &ctx)
-{
-    const double v = numberAt(obj, path, key, ctx);
-    if (std::floor(v) != v)
-        fatal("%s: \"%s.%s\" must be an integer (got %g)", ctx.c_str(),
-              path, key, v);
-    return static_cast<std::int64_t>(v);
-}
-
-int
-intAt(const JsonValue &obj, const char *path, const char *key,
-      const std::string &ctx)
-{
-    return static_cast<int>(i64At(obj, path, key, ctx));
-}
-
-bool
-boolAt(const JsonValue &obj, const char *path, const char *key,
-       const std::string &ctx)
-{
-    const JsonValue &v = memberAt(obj, path, key, ctx);
-    if (v.kind != JsonValue::kBool)
-        fatal("%s: \"%s.%s\" must be a boolean", ctx.c_str(), path, key);
-    return v.boolean;
-}
-
-const std::string &
-stringAt(const JsonValue &obj, const char *path, const char *key,
-         const std::string &ctx)
-{
-    const JsonValue &v = memberAt(obj, path, key, ctx);
-    if (v.kind != JsonValue::kString)
-        fatal("%s: \"%s.%s\" must be a string", ctx.c_str(), path, key);
-    return v.str;
-}
-
-const std::vector<JsonValue> &
-arrayAt(const JsonValue &obj, const char *path, const char *key,
-        const std::string &ctx)
-{
-    const JsonValue &v = memberAt(obj, path, key, ctx);
-    if (v.kind != JsonValue::kArray)
-        fatal("%s: \"%s.%s\" must be an array", ctx.c_str(), path, key);
-    return v.arr;
-}
 
 Pass
 passFromName(const std::string &name, const std::string &ctx)
@@ -126,19 +49,18 @@ appendGemmPlan(std::string &out, const GemmPlan &p)
 }
 
 GemmPlan
-gemmPlanFromValue(const JsonValue &v, const std::string &ctx)
+gemmPlanFrom(JsonReader &r, const std::string &ctx)
 {
     GemmPlan p;
-    p.gemm.name = stringAt(v, "pass", "name", ctx);
-    p.gemm.m = i64At(v, "pass", "m", ctx);
-    p.gemm.k = i64At(v, "pass", "k", ctx);
-    p.gemm.n = i64At(v, "pass", "n", ctx);
-    p.gemm.pass = passFromName(stringAt(v, "pass", "pass", ctx), ctx);
-    p.gemm.fcLayer = intAt(v, "pass", "fcLayer", ctx);
-    p.dataflow = dataflowFromName(stringAt(v, "pass", "dataflow", ctx),
-                                  ctx);
-    p.sliceCount = intAt(v, "pass", "sliceCount", ctx);
-    p.estTime = numberAt(v, "pass", "estTime", ctx);
+    p.gemm.name = r.get<std::string>("name");
+    p.gemm.m = r.get<std::int64_t>("m");
+    p.gemm.k = r.get<std::int64_t>("k");
+    p.gemm.n = r.get<std::int64_t>("n");
+    p.gemm.pass = passFromName(r.get<std::string>("pass"), ctx);
+    p.gemm.fcLayer = r.get<int>("fcLayer");
+    p.dataflow = dataflowFromName(r.get<std::string>("dataflow"), ctx);
+    p.sliceCount = r.get<int>("sliceCount");
+    p.estTime = r.get<double>("estTime");
     return p;
 }
 
@@ -172,22 +94,23 @@ appendAutotuneResult(std::string &out, const AutotuneResult &r)
 }
 
 AutotuneResult
-autotuneResultFromValue(const JsonValue &v, const std::string &ctx)
+autotuneResultFrom(JsonReader &r, const std::string &ctx)
 {
-    AutotuneResult r;
-    r.rows = intAt(v, "tp", "rows", ctx);
-    r.cols = intAt(v, "tp", "cols", ctx);
-    r.blockFcTime = numberAt(v, "tp", "blockFcTime", ctx);
-    for (const JsonValue &lv : arrayAt(v, "tp", "layers", ctx)) {
+    AutotuneResult res;
+    res.rows = r.get<int>("rows");
+    res.cols = r.get<int>("cols");
+    res.blockFcTime = r.get<double>("blockFcTime");
+    r.each("layers", [&](JsonReader &l) {
         FcLayerPlan layer;
-        layer.fcLayer = intAt(lv, "layer", "fcLayer", ctx);
-        layer.stationary = stationaryFromName(
-            stringAt(lv, "layer", "stationary", ctx), ctx);
-        for (const JsonValue &pv : arrayAt(lv, "layer", "passes", ctx))
-            layer.passes.push_back(gemmPlanFromValue(pv, ctx));
-        r.layers.push_back(std::move(layer));
-    }
-    return r;
+        layer.fcLayer = l.get<int>("fcLayer");
+        layer.stationary =
+            stationaryFromName(l.get<std::string>("stationary"), ctx);
+        l.each("passes", [&](JsonReader &g) {
+            layer.passes.push_back(gemmPlanFrom(g, ctx));
+        });
+        res.layers.push_back(std::move(layer));
+    });
+    return res;
 }
 
 void
@@ -213,18 +136,18 @@ appendAxes(std::string &out, const PipelineAxes &axes)
 }
 
 PipelineAxes
-axesFromValue(const JsonValue &v, const std::string &ctx)
+axesFrom(JsonReader &r, const std::string &ctx)
 {
     PipelineAxes axes;
-    axes.tpRows = intAt(v, "axes", "tpRows", ctx);
-    axes.tpCols = intAt(v, "axes", "tpCols", ctx);
-    axes.pp = intAt(v, "axes", "pp", ctx);
-    axes.dp = intAt(v, "axes", "dp", ctx);
-    axes.microBatches = intAt(v, "axes", "microBatches", ctx);
-    axes.chunks = intAt(v, "axes", "chunks", ctx);
-    axes.schedule = pipelineScheduleFromName(
-        stringAt(v, "axes", "schedule", ctx), ctx);
-    axes.recompute = boolAt(v, "axes", "recompute", ctx);
+    axes.tpRows = r.get<int>("tpRows");
+    axes.tpCols = r.get<int>("tpCols");
+    axes.pp = r.get<int>("pp");
+    axes.dp = r.get<int>("dp");
+    axes.microBatches = r.get<int>("microBatches");
+    axes.chunks = r.get<int>("chunks");
+    axes.schedule =
+        pipelineScheduleFromName(r.get<std::string>("schedule"), ctx);
+    axes.recompute = r.get<bool>("recompute");
     return axes;
 }
 
@@ -286,46 +209,37 @@ EnginePlan
 enginePlanFromJson(const std::string &text, const std::string &context)
 {
     const JsonValue root = parseJson(text, "EnginePlan", context);
-    if (root.kind != JsonValue::kObject)
-        fatal("EnginePlan: %s: top-level value must be an object",
-              context.c_str());
+    JsonReader r(root, "EnginePlan", context);
     EnginePlan plan;
-    const JsonValue &cluster = memberAt(root, "plan", "cluster", context);
-    plan.cluster.dp = intAt(cluster, "cluster", "dp", context);
-    plan.cluster.pp = intAt(cluster, "cluster", "pp", context);
-    plan.cluster.tpRows = intAt(cluster, "cluster", "tpRows", context);
-    plan.cluster.tpCols = intAt(cluster, "cluster", "tpCols", context);
-    plan.cluster.oneD = boolAt(cluster, "cluster", "oneD", context);
-    plan.pickedBy = stringAt(root, "plan", "pickedBy", context);
-    plan.tp = autotuneResultFromValue(
-        memberAt(root, "plan", "tp", context), context);
-    if (const JsonValue *robust = root.find("robust")) {
-        plan.hasRobust = true;
-        plan.robustObjective =
-            numberAt(*robust, "robust", "objective", context);
-        plan.robustPickIndex =
-            intAt(*robust, "robust", "pickIndex", context);
-    }
-    if (const JsonValue *rec = root.find("recovery")) {
-        plan.hasRecovery = true;
-        plan.checkpointInterval =
-            numberAt(*rec, "recovery", "checkpointInterval", context);
-        plan.goodput = numberAt(*rec, "recovery", "goodput", context);
-        plan.effectiveStepTime =
-            numberAt(*rec, "recovery", "effectiveStepTime", context);
-    }
-    if (const JsonValue *pipe = root.find("pipeline")) {
-        plan.hasPipeline = true;
-        plan.axes = axesFromValue(
-            memberAt(*pipe, "pipeline", "axes", context), context);
-        plan.pipelineEstTotal =
-            numberAt(*pipe, "pipeline", "estTotal", context);
-        plan.pipelineSimTotal =
-            numberAt(*pipe, "pipeline", "simTotal", context);
-        plan.stageMemoryBytes =
-            i64At(*pipe, "pipeline", "stageMemoryBytes", context);
-        plan.peakStash = intAt(*pipe, "pipeline", "peakStash", context);
-    }
+    r.child("cluster", [&](JsonReader &c) {
+        plan.cluster.dp = c.get<int>("dp");
+        plan.cluster.pp = c.get<int>("pp");
+        plan.cluster.tpRows = c.get<int>("tpRows");
+        plan.cluster.tpCols = c.get<int>("tpCols");
+        plan.cluster.oneD = c.get<bool>("oneD");
+    });
+    plan.pickedBy = r.get<std::string>("pickedBy");
+    r.child("tp", [&](JsonReader &t) {
+        plan.tp = autotuneResultFrom(t, context);
+    });
+    plan.hasRobust = r.optChild("robust", [&](JsonReader &o) {
+        plan.robustObjective = o.get<double>("objective");
+        plan.robustPickIndex = o.get<int>("pickIndex");
+    });
+    plan.hasRecovery = r.optChild("recovery", [&](JsonReader &o) {
+        plan.checkpointInterval = o.get<double>("checkpointInterval");
+        plan.goodput = o.get<double>("goodput");
+        plan.effectiveStepTime = o.get<double>("effectiveStepTime");
+    });
+    plan.hasPipeline = r.optChild("pipeline", [&](JsonReader &o) {
+        o.child("axes",
+                [&](JsonReader &a) { plan.axes = axesFrom(a, context); });
+        plan.pipelineEstTotal = o.get<double>("estTotal");
+        plan.pipelineSimTotal = o.get<double>("simTotal");
+        plan.stageMemoryBytes = o.get<std::int64_t>("stageMemoryBytes");
+        plan.peakStash = o.get<int>("peakStash");
+    });
+    r.finish();
     return plan;
 }
 
@@ -353,183 +267,89 @@ shortlistFromJson(const std::string &text, const std::string &context)
               context.c_str());
     std::vector<AutotuneResult> shortlist;
     shortlist.reserve(root.arr.size());
-    for (const JsonValue &v : root.arr)
-        shortlist.push_back(autotuneResultFromValue(v, context));
+    for (size_t i = 0; i < root.arr.size(); ++i) {
+        JsonReader r(root.arr[i], "Shortlist", context, i);
+        shortlist.push_back(autotuneResultFrom(r, context));
+        r.finish();
+    }
     return shortlist;
 }
-
-namespace {
-
-void
-rejectUnknownKeys(const JsonValue &obj, const char *path,
-                  std::initializer_list<const char *> allowed,
-                  const std::string &ctx)
-{
-    for (const auto &[key, value] : obj.obj) {
-        bool known = false;
-        for (const char *a : allowed)
-            if (key == a) {
-                known = true;
-                break;
-            }
-        if (!known)
-            fatal("%s: unknown key \"%s.%s\"", ctx.c_str(), path,
-                  key.c_str());
-    }
-}
-
-TransformerConfig
-modelFromValue(const JsonValue &v, const std::string &ctx)
-{
-    if (v.kind == JsonValue::kString) {
-        if (v.str == "gpt3")
-            return gpt3Config();
-        if (v.str == "megatron-nlg")
-            return megatronNlgConfig();
-        fatal("%s: unknown model preset \"%s\" "
-              "(want gpt3/megatron-nlg or an object)",
-              ctx.c_str(), v.str.c_str());
-    }
-    if (v.kind != JsonValue::kObject)
-        fatal("%s: \"model\" must be a preset name or an object",
-              ctx.c_str());
-    rejectUnknownKeys(v, "model",
-                      {"name", "layers", "hiddenDim", "heads", "ffnDim",
-                       "vocab"},
-                      ctx);
-    TransformerConfig model;
-    model.name = stringAt(v, "model", "name", ctx);
-    model.layers = i64At(v, "model", "layers", ctx);
-    model.hiddenDim = i64At(v, "model", "hiddenDim", ctx);
-    model.heads = i64At(v, "model", "heads", ctx);
-    model.ffnDim = i64At(v, "model", "ffnDim", ctx);
-    if (v.find("vocab") != nullptr)
-        model.vocab = i64At(v, "model", "vocab", ctx);
-    return model;
-}
-
-} // namespace
 
 PlanQuery
 planQueryFromValue(const JsonValue &root, const ChipConfig &chip,
                    const std::string &context)
 {
-    if (root.kind != JsonValue::kObject)
-        fatal("PlanQuery: %s: top-level value must be an object",
-              context.c_str());
-    rejectUnknownKeys(root, "query",
-                      {"id", "model", "train", "chips", "algo",
-                       "optimizeDataflow", "robust", "recovery",
-                       "pipeline"},
-                      context);
+    JsonReader r(root, "PlanQuery", context);
     PlanQuery q;
     q.chip = chip;
-    q.model = modelFromValue(
-        memberAt(root, "query", "model", context), context);
-    if (root.find("chips") != nullptr)
-        q.chips = intAt(root, "query", "chips", context);
+    std::string id; // echoed by plan_server; not part of the plan
+    r.opt("id", id);
+    const JsonValue &model = r.value("model");
+    if (model.kind == JsonValue::kString) {
+        if (model.str == "gpt3")
+            q.model = gpt3Config();
+        else if (model.str == "megatron-nlg")
+            q.model = megatronNlgConfig();
+        else
+            fatal("PlanQuery: %s: unknown model preset \"%s\" "
+                  "(want gpt3/megatron-nlg or an object)",
+                  context.c_str(), model.str.c_str());
+    } else {
+        r.child("model", [&](JsonReader &m) {
+            q.model.name = m.get<std::string>("name");
+            q.model.layers = m.get<std::int64_t>("layers");
+            q.model.hiddenDim = m.get<std::int64_t>("hiddenDim");
+            q.model.heads = m.get<std::int64_t>("heads");
+            q.model.ffnDim = m.get<std::int64_t>("ffnDim");
+            m.opt("vocab", q.model.vocab);
+        });
+    }
+    r.opt("chips", q.chips);
     if (q.chips <= 0)
         fatal("PlanQuery: %s: \"chips\" must be positive (got %d)",
               context.c_str(), q.chips);
-    if (const JsonValue *train = root.find("train")) {
-        rejectUnknownKeys(*train, "train", {"batch", "seqLen"}, context);
-        q.train.batch = i64At(*train, "train", "batch", context);
-        if (train->find("seqLen") != nullptr)
-            q.train.seqLen = i64At(*train, "train", "seqLen", context);
-    } else {
+    if (!r.optChild("train", [&](JsonReader &t) {
+            q.train.batch = t.get<std::int64_t>("batch");
+            t.opt("seqLen", q.train.seqLen);
+        }))
         q.train = TrainingConfig::weakScaling(q.chips);
-    }
-    if (root.find("algo") != nullptr)
-        q.algo = algorithmFromName(stringAt(root, "query", "algo", context),
-                                   context);
-    if (root.find("optimizeDataflow") != nullptr)
-        q.optimizeDataflow =
-            boolAt(root, "query", "optimizeDataflow", context);
+    std::string algo;
+    if (r.opt("algo", algo))
+        q.algo = algorithmFromName(algo, context);
+    r.opt("optimizeDataflow", q.optimizeDataflow);
 
-    if (const JsonValue *robust = root.find("robust")) {
-        rejectUnknownKeys(*robust, "robust",
-                          {"topK", "numScenarios", "seed",
-                           "linkDegradeFactor", "faultsPerScenario",
-                           "stragglerProb", "stragglerFactor",
-                           "maxLaunchJitter", "quantile",
-                           "maxGemmsPerEval"},
-                          context);
-        q.runRobust = true;
-        if (robust->find("topK") != nullptr)
-            q.robust.topK = intAt(*robust, "robust", "topK", context);
-        if (robust->find("numScenarios") != nullptr)
-            q.robust.numScenarios =
-                intAt(*robust, "robust", "numScenarios", context);
-        if (robust->find("seed") != nullptr)
-            q.robust.seed = static_cast<std::uint64_t>(
-                i64At(*robust, "robust", "seed", context));
-        if (robust->find("linkDegradeFactor") != nullptr)
-            q.robust.linkDegradeFactor =
-                numberAt(*robust, "robust", "linkDegradeFactor", context);
-        if (robust->find("faultsPerScenario") != nullptr)
-            q.robust.faultsPerScenario =
-                intAt(*robust, "robust", "faultsPerScenario", context);
-        if (robust->find("stragglerProb") != nullptr)
-            q.robust.stragglerProb =
-                numberAt(*robust, "robust", "stragglerProb", context);
-        if (robust->find("stragglerFactor") != nullptr)
-            q.robust.stragglerFactor =
-                numberAt(*robust, "robust", "stragglerFactor", context);
-        if (robust->find("maxLaunchJitter") != nullptr)
-            q.robust.maxLaunchJitter =
-                numberAt(*robust, "robust", "maxLaunchJitter", context);
-        if (robust->find("quantile") != nullptr)
-            q.robust.quantile =
-                numberAt(*robust, "robust", "quantile", context);
-        if (robust->find("maxGemmsPerEval") != nullptr)
-            q.robust.maxGemmsPerEval =
-                intAt(*robust, "robust", "maxGemmsPerEval", context);
-    }
-
-    if (const JsonValue *rec = root.find("recovery")) {
-        rejectUnknownKeys(*rec, "recovery",
-                          {"chipMtbf", "checkpointBytesPerChip",
-                           "detectionLatency", "restartTime", "topK"},
-                          context);
-        q.runRecovery = true;
-        q.recovery.chipMtbf =
-            numberAt(*rec, "recovery", "chipMtbf", context);
+    q.runRobust = r.optChild("robust", [&](JsonReader &o) {
+        o.opt("topK", q.robust.topK);
+        o.opt("numScenarios", q.robust.numScenarios);
+        o.opt("seed", q.robust.seed);
+        o.opt("linkDegradeFactor", q.robust.linkDegradeFactor);
+        o.opt("faultsPerScenario", q.robust.faultsPerScenario);
+        o.opt("stragglerProb", q.robust.stragglerProb);
+        o.opt("stragglerFactor", q.robust.stragglerFactor);
+        o.opt("maxLaunchJitter", q.robust.maxLaunchJitter);
+        o.opt("quantile", q.robust.quantile);
+        o.opt("maxGemmsPerEval", q.robust.maxGemmsPerEval);
+    });
+    q.runRecovery = r.optChild("recovery", [&](JsonReader &o) {
+        q.recovery.chipMtbf = o.get<double>("chipMtbf");
         q.recovery.checkpointBytesPerChip =
-            i64At(*rec, "recovery", "checkpointBytesPerChip", context);
-        if (rec->find("detectionLatency") != nullptr)
-            q.recovery.detectionLatency =
-                numberAt(*rec, "recovery", "detectionLatency", context);
-        if (rec->find("restartTime") != nullptr)
-            q.recovery.restartTime =
-                numberAt(*rec, "recovery", "restartTime", context);
-        if (rec->find("topK") != nullptr)
-            q.recovery.topK = intAt(*rec, "recovery", "topK", context);
-    }
-
-    if (const JsonValue *pipe = root.find("pipeline")) {
-        rejectUnknownKeys(*pipe, "pipeline",
-                          {"schedule", "chunks", "maxMicroBatches",
-                           "topK", "recompute", "dpOverlap"},
-                          context);
-        q.runPipeline = true;
-        if (pipe->find("schedule") != nullptr)
-            q.pipeline.schedule = pipelineScheduleFromName(
-                stringAt(*pipe, "pipeline", "schedule", context), context);
-        if (pipe->find("chunks") != nullptr)
-            q.pipeline.chunks =
-                intAt(*pipe, "pipeline", "chunks", context);
-        if (pipe->find("maxMicroBatches") != nullptr)
-            q.pipeline.maxMicroBatches =
-                intAt(*pipe, "pipeline", "maxMicroBatches", context);
-        if (pipe->find("topK") != nullptr)
-            q.pipeline.topK = intAt(*pipe, "pipeline", "topK", context);
-        if (pipe->find("recompute") != nullptr)
-            q.pipeline.recompute =
-                boolAt(*pipe, "pipeline", "recompute", context);
-        if (pipe->find("dpOverlap") != nullptr)
-            q.pipeline.dpOverlap =
-                numberAt(*pipe, "pipeline", "dpOverlap", context);
-    }
+            o.get<std::int64_t>("checkpointBytesPerChip");
+        o.opt("detectionLatency", q.recovery.detectionLatency);
+        o.opt("restartTime", q.recovery.restartTime);
+        o.opt("topK", q.recovery.topK);
+    });
+    q.runPipeline = r.optChild("pipeline", [&](JsonReader &o) {
+        std::string schedule;
+        if (o.opt("schedule", schedule))
+            q.pipeline.schedule =
+                pipelineScheduleFromName(schedule, context);
+        o.opt("chunks", q.pipeline.chunks);
+        o.opt("maxMicroBatches", q.pipeline.maxMicroBatches);
+        o.opt("topK", q.pipeline.topK);
+        o.opt("recompute", q.pipeline.recompute);
+        o.opt("dpOverlap", q.pipeline.dpOverlap);
+    });
+    r.finish();
     return q;
 }
 

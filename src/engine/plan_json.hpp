@@ -8,8 +8,10 @@
  * serialize is **byte-identical** — the property the PlanEngine's
  * cache cross-checks and the persistence layer rely on. Parsers go
  * through `util/json`'s `parseJson`, so every syntax error is a
- * `fatal` with a byte offset into the named source; semantic errors
- * (missing or mistyped keys) are `fatal` with the key path.
+ * `fatal` with a byte offset into the named source, and read it with
+ * one `JsonReader`, so a missing, mistyped, out-of-range, unknown or
+ * duplicate key is a `fatal` with the key path. The writers emit only
+ * keys the parsers read.
  */
 #ifndef MESHSLICE_ENGINE_PLAN_JSON_HPP_
 #define MESHSLICE_ENGINE_PLAN_JSON_HPP_
@@ -43,6 +45,7 @@ shortlistFromJson(const std::string &text,
 /**
  * Parse one plan-server query line into a `PlanQuery`. Supported keys
  * (all optional unless noted):
+ *   id           string tag the plan server echoes (not planned on)
  *   model        "gpt3" / "megatron-nlg", or an object with
  *                name/layers/hiddenDim/heads/ffnDim[/vocab] (required)
  *   train        {batch, seqLen}; default = weak scaling at `chips`
@@ -59,7 +62,9 @@ shortlistFromJson(const std::string &text,
  *   pipeline     object enabling the 3D phase: schedule, chunks,
  *                maxMicroBatches, topK, recompute, dpOverlap
  * The chip hardware description comes from @p chip (queries address a
- * fixed serving cluster). Unknown keys are fatal.
+ * fixed serving cluster). Unknown and repeated keys are fatal, and so
+ * is an integer outside its field's type (`chips` past INT_MAX, a
+ * negative `seed`).
  */
 PlanQuery planQueryFromJson(const std::string &text, const ChipConfig &chip,
                             const std::string &context = "<string>");

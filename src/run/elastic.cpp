@@ -25,6 +25,15 @@ namespace {
  *  so the result is bit-exact across shard layouts and re-shards. */
 constexpr float kElasticLr = 0.5f;
 
+/** Chips of @p run's cluster when each step runs on @p spec's mesh:
+ *  one mesh per pipeline stage, or the one mesh. */
+int
+clusterChips(const ElasticRunConfig &run, const Gemm2DSpec &spec)
+{
+    return run.pipeline.enabled ? run.pipeline.stages * spec.chips()
+                                : spec.chips();
+}
+
 /** Linear chip id of a `"chip<i>."` kill pattern; fatal on anything
  *  else — the elastic runtime recovers from whole-chip fail-stops
  *  only (a link kill retires no chip and has no survivor geometry). */
@@ -472,19 +481,12 @@ elasticPhaseKindName(ElasticPhase::Kind kind)
 ElasticRunResult
 runElastic(const ChipConfig &cfg, const ElasticRunConfig &run)
 {
-    const int chips0 =
-        run.pipeline.enabled
-            ? run.pipeline.stages * run.spec.rows * run.spec.cols
-            : run.spec.chips();
+    const int chips0 = clusterChips(run, run.spec);
     validateElasticConfig(run, chips0);
 
     const bool ckpt_on = run.checkpointBytesPerChip > 0 &&
                          run.checkpointTargetBandwidth > 0.0;
-    const double live_bytes =
-        static_cast<double>(run.spec.bytesPerElement) *
-        (static_cast<double>(run.spec.m) * run.spec.k +
-         static_cast<double>(run.spec.k) * run.spec.n +
-         static_cast<double>(run.spec.m) * run.spec.n);
+    const double live_bytes = run.spec.liveStateBytes();
 
     // Checkpoint interval: explicit, or the Young–Daly optimum of this
     // cluster's recovery economics.
@@ -589,13 +591,9 @@ runElastic(const ChipConfig &cfg, const ElasticRunConfig &run)
                 CheckpointSpec cspec;
                 cspec.bytesPerChip = run.checkpointBytesPerChip;
                 cspec.targetBandwidth = run.checkpointTargetBandwidth;
-                const int cur_chips =
-                    run.pipeline.enabled
-                        ? run.pipeline.stages * spec_cur.rows *
-                              spec_cur.cols
-                        : spec_cur.chips();
                 const PhaseOut cout = runCheckpointPhase(
-                    cfg, cur_chips, cspec, cp, run.profile);
+                    cfg, clusterChips(run, spec_cur), cspec, cp,
+                    run.profile);
                 recordPhase(result.phases, agg,
                             ElasticPhase::Kind::kCheckpoint,
                             result.checkpoints, wall, cout);
@@ -722,13 +720,9 @@ runElastic(const ChipConfig &cfg, const ElasticRunConfig &run)
             pin.checkpointCost = checkpointModelCost(
                 cfg, chips0, run.checkpointBytesPerChip,
                 run.checkpointTargetBandwidth);
-            const int surv_chips =
-                run.pipeline.enabled
-                    ? run.pipeline.stages * result.finalSpec.rows *
-                          result.finalSpec.cols
-                    : result.finalSpec.chips();
             pin.survivorCheckpointCost = checkpointModelCost(
-                cfg, surv_chips, run.checkpointBytesPerChip,
+                cfg, clusterChips(run, result.finalSpec),
+                run.checkpointBytesPerChip,
                 run.checkpointTargetBandwidth);
             pin.checkpointInterval = interval;
         }
@@ -770,14 +764,9 @@ runElastic(const ChipConfig &cfg, const ElasticRunConfig &run)
 PlainRunResult
 runPlainSteps(const ChipConfig &cfg, const ElasticRunConfig &run)
 {
-    const int chips0 =
-        run.pipeline.enabled
-            ? run.pipeline.stages * run.spec.rows * run.spec.cols
-            : run.spec.chips();
     if (run.steps <= 0)
         fatal("runPlainSteps: steps must be positive (got %d)",
               run.steps);
-    (void)chips0;
 
     PlainRunResult result;
     FunctionalState fs;

@@ -16,45 +16,6 @@ namespace meshslice {
 
 namespace {
 
-double
-requireNumber(const JsonValue &obj, const char *key, double fallback,
-              const std::string &ctx)
-{
-    const JsonValue *v = obj.find(key);
-    if (!v)
-        return fallback;
-    if (v->kind != JsonValue::kNumber)
-        fatal("FaultScenario: key \"%s\" must be a number in %s", key,
-              ctx.c_str());
-    return v->number;
-}
-
-std::string
-requireString(const JsonValue &obj, const char *key, const std::string &ctx)
-{
-    const JsonValue *v = obj.find(key);
-    if (!v || v->kind != JsonValue::kString)
-        fatal("FaultScenario: key \"%s\" must be a string in %s", key,
-              ctx.c_str());
-    return v->str;
-}
-
-void
-rejectUnknownKeys(const JsonValue &obj, std::initializer_list<const char *>
-                  known, const char *what, const std::string &ctx)
-{
-    for (const auto &[key, value] : obj.obj) {
-        bool found = false;
-        for (const char *k : known)
-            if (key == k)
-                found = true;
-        if (!found)
-            fatal("FaultScenario: unknown key \"%s\" in %s of %s "
-                  "(typo in the scenario file?)",
-                  key.c_str(), what, ctx.c_str());
-    }
-}
-
 void
 validateWindow(double factor, Time start, Time duration, const char *what,
                const std::string &who)
@@ -292,116 +253,67 @@ FaultScenario::toJson() const
 FaultScenario
 FaultScenario::fromJson(const std::string &text, const std::string &context)
 {
-    JsonValue root = parseJson(text, "FaultScenario", context);
-    if (root.kind != JsonValue::kObject)
-        fatal("FaultScenario: top-level JSON value in %s must be an object",
-              context.c_str());
-    rejectUnknownKeys(root,
-                      {"seed", "max_launch_jitter_s", "faults", "stragglers",
-                       "kills", "detection_latency_s"},
-                      "the scenario", context);
-
+    const JsonValue root = parseJson(text, "FaultScenario", context);
+    JsonReader r(root, "FaultScenario", context);
     FaultScenario scenario;
-    const double seed = requireNumber(root, "seed", 1.0, context);
-    if (seed < 0.0 || seed != std::floor(seed))
-        fatal("FaultScenario: \"seed\" must be a non-negative integer "
-              "in %s", context.c_str());
-    scenario.seed = static_cast<std::uint64_t>(seed);
-    scenario.maxLaunchJitter =
-        requireNumber(root, "max_launch_jitter_s", 0.0, context);
+    r.opt("seed", scenario.seed);
+    r.opt("max_launch_jitter_s", scenario.maxLaunchJitter);
     if (scenario.maxLaunchJitter < 0.0 ||
         !std::isfinite(scenario.maxLaunchJitter))
         fatal("FaultScenario: \"max_launch_jitter_s\" must be finite and "
               ">= 0 in %s", context.c_str());
 
-    if (const JsonValue *arr = root.find("faults")) {
-        if (arr->kind != JsonValue::kArray)
-            fatal("FaultScenario: \"faults\" must be an array in %s",
-                  context.c_str());
-        for (const JsonValue &entry : arr->arr) {
-            if (entry.kind != JsonValue::kObject)
-                fatal("FaultScenario: every entry of \"faults\" must be "
-                      "an object in %s", context.c_str());
-            rejectUnknownKeys(entry,
-                              {"pattern", "factor", "start_s", "duration_s"},
-                              "a fault entry", context);
-            CapacityFault f;
-            f.pattern = requireString(entry, "pattern", context);
-            f.factor = requireNumber(entry, "factor", 1.0, context);
-            f.start = requireNumber(entry, "start_s", 0.0, context);
-            f.duration = requireNumber(entry, "duration_s", -1.0, context);
-            validateWindow(f.factor, f.start, f.duration, "fault",
-                           "\"" + f.pattern + "\"");
-            if (f.pattern.empty())
-                fatal("FaultScenario: fault pattern must be non-empty "
-                      "in %s (an empty pattern matches everything, which "
-                      "is never what you want)", context.c_str());
-            scenario.faults.push_back(std::move(f));
-        }
-    }
+    r.optEach("faults", [&](JsonReader &e) {
+        CapacityFault f;
+        f.pattern = e.get<std::string>("pattern");
+        e.opt("factor", f.factor);
+        e.opt("start_s", f.start);
+        e.opt("duration_s", f.duration);
+        validateWindow(f.factor, f.start, f.duration, "fault",
+                       "\"" + f.pattern + "\"");
+        if (f.pattern.empty())
+            fatal("FaultScenario: fault pattern must be non-empty "
+                  "in %s (an empty pattern matches everything, which "
+                  "is never what you want)", context.c_str());
+        scenario.faults.push_back(std::move(f));
+    });
 
-    if (const JsonValue *arr = root.find("stragglers")) {
-        if (arr->kind != JsonValue::kArray)
-            fatal("FaultScenario: \"stragglers\" must be an array in %s",
-                  context.c_str());
-        for (const JsonValue &entry : arr->arr) {
-            if (entry.kind != JsonValue::kObject)
-                fatal("FaultScenario: every entry of \"stragglers\" must "
-                      "be an object in %s", context.c_str());
-            rejectUnknownKeys(entry,
-                              {"chip", "compute_factor", "hbm_factor",
-                               "start_s", "duration_s"},
-                              "a straggler entry", context);
-            StragglerFault s;
-            const double chip = requireNumber(entry, "chip", -1.0, context);
-            if (chip < 0.0 || chip != std::floor(chip))
-                fatal("FaultScenario: straggler \"chip\" must be a "
-                      "non-negative integer in %s", context.c_str());
-            s.chip = static_cast<int>(chip);
-            s.computeFactor =
-                requireNumber(entry, "compute_factor", 1.0, context);
-            s.hbmFactor = requireNumber(entry, "hbm_factor", 1.0, context);
-            s.start = requireNumber(entry, "start_s", 0.0, context);
-            s.duration = requireNumber(entry, "duration_s", -1.0, context);
-            validateWindow(s.computeFactor, s.start, s.duration, "straggler",
-                           strprintf("chip %d", s.chip));
-            validateWindow(s.hbmFactor, s.start, s.duration, "straggler",
-                           strprintf("chip %d", s.chip));
-            scenario.stragglers.push_back(s);
-        }
-    }
+    r.optEach("stragglers", [&](JsonReader &e) {
+        StragglerFault s;
+        e.opt("chip", s.chip);
+        if (s.chip < 0)
+            fatal("FaultScenario: straggler \"chip\" must be a "
+                  "non-negative integer in %s", context.c_str());
+        e.opt("compute_factor", s.computeFactor);
+        e.opt("hbm_factor", s.hbmFactor);
+        e.opt("start_s", s.start);
+        e.opt("duration_s", s.duration);
+        const std::string who = strprintf("chip %d", s.chip);
+        validateWindow(s.computeFactor, s.start, s.duration, "straggler", who);
+        validateWindow(s.hbmFactor, s.start, s.duration, "straggler", who);
+        scenario.stragglers.push_back(s);
+    });
 
-    if (const JsonValue *arr = root.find("kills")) {
-        if (arr->kind != JsonValue::kArray)
-            fatal("FaultScenario: \"kills\" must be an array in %s",
+    r.optEach("kills", [&](JsonReader &e) {
+        KillFault k;
+        k.pattern = e.get<std::string>("pattern");
+        e.opt("at_s", k.at);
+        if (k.pattern.empty())
+            fatal("FaultScenario: kill pattern must be non-empty "
+                  "in %s", context.c_str());
+        if (!(k.at >= 0.0) || !std::isfinite(k.at))
+            fatal("FaultScenario: kill \"%s\" has negative or "
+                  "non-finite at_s %g in %s", k.pattern.c_str(), k.at,
                   context.c_str());
-        for (const JsonValue &entry : arr->arr) {
-            if (entry.kind != JsonValue::kObject)
-                fatal("FaultScenario: every entry of \"kills\" must be "
-                      "an object in %s", context.c_str());
-            rejectUnknownKeys(entry, {"pattern", "at_s"}, "a kill entry",
-                              context);
-            KillFault k;
-            k.pattern = requireString(entry, "pattern", context);
-            k.at = requireNumber(entry, "at_s", 0.0, context);
-            if (k.pattern.empty())
-                fatal("FaultScenario: kill pattern must be non-empty "
-                      "in %s", context.c_str());
-            if (!(k.at >= 0.0) || !std::isfinite(k.at))
-                fatal("FaultScenario: kill \"%s\" has negative or "
-                      "non-finite at_s %g in %s", k.pattern.c_str(), k.at,
-                      context.c_str());
-            scenario.kills.push_back(std::move(k));
-        }
-    }
+        scenario.kills.push_back(std::move(k));
+    });
 
-    scenario.detectionLatency =
-        requireNumber(root, "detection_latency_s",
-                      scenario.detectionLatency, context);
+    r.opt("detection_latency_s", scenario.detectionLatency);
     if (scenario.detectionLatency < 0.0 ||
         !std::isfinite(scenario.detectionLatency))
         fatal("FaultScenario: \"detection_latency_s\" must be finite and "
               ">= 0 in %s", context.c_str());
+    r.finish();
 
     // A kill and a capacity window aimed at (an overlapping set of)
     // resources with intersecting times is almost certainly a scenario

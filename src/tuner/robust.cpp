@@ -462,13 +462,7 @@ replanAfterFailure(const CostModel &cost, Algorithm algo,
         fatal("replanAfterFailure: remaining_steps must be non-negative "
               "(got %d)", remaining_steps);
 
-    // Live state that must migrate: all three operands (A, B and the
-    // accumulated C) are resident `DistMatrix` shards.
-    const double live_bytes =
-        static_cast<double>(spec.bytesPerElement) *
-        (static_cast<double>(spec.m) * static_cast<double>(spec.k) +
-         static_cast<double>(spec.k) * static_cast<double>(spec.n) +
-         static_cast<double>(spec.m) * static_cast<double>(spec.n));
+    const double live_bytes = spec.liveStateBytes();
 
     ReplanResult result;
     const std::vector<SurvivorMesh> options =

@@ -321,4 +321,100 @@ parseJson(const std::string &text, const char *error_prefix,
     return JsonParser(text, error_prefix, context).parseDocument();
 }
 
+JsonReader::JsonReader(const JsonValue &value, const char *prefix,
+                       const std::string &context, size_t index)
+    : value_(value), prefix_(prefix), context_(context), index_(index)
+{
+    checkObject();
+}
+
+JsonReader::JsonReader(const JsonValue &value, const JsonReader *parent,
+                       const char *key, size_t index)
+    : value_(value), parent_(parent), prefix_(parent->prefix_),
+      context_(parent->context_), key_(key), index_(index)
+{
+    checkObject();
+}
+
+void
+JsonReader::checkObject() const
+{
+    if (value_.kind != JsonValue::kObject)
+        failKind(nullptr, "an object");
+    // No schema object comes near 64 keys, so a larger one holds an
+    // unknown or duplicate key; the read mask is one word.
+    if (value_.obj.size() > 64)
+        fail(subject(nullptr) + " has more than 64 keys");
+}
+
+void
+JsonReader::failMissing(const char *key) const
+{
+    // A misspelt key is missing here and unknown at finish(): name both
+    // now, or the typo never reaches the message.
+    std::string unread;
+    for (size_t i = 0; i < value_.obj.size(); ++i)
+        if (((read_ >> i) & 1) == 0)
+            unread += (unread.empty() ? " (unread keys here: \"" : ", \"") +
+                      value_.obj[i].first + "\"";
+    fail("missing key " + subject(key) +
+         (unread.empty() ? unread : unread + ")"));
+}
+
+void
+JsonReader::failInteger(const char *key, const JsonValue &v,
+                        const std::string &min, const std::string &max) const
+{
+    fail(subject(key) + " must be an integer in [" + min + ", " + max + "]" +
+         (v.kind == JsonValue::kNumber ? " (got " + jsonNumber(v.number) + ")"
+                                       : std::string()));
+}
+
+void
+JsonReader::finish() const
+{
+    const auto &obj = value_.obj;
+    for (size_t i = 0; i < obj.size(); ++i) {
+        if ((read_ >> i) & 1)
+            continue;
+        bool repeated = false;
+        for (size_t j = 0; j < i && !repeated; ++j)
+            repeated = obj[j].first == obj[i].first;
+        fail(std::string(repeated ? "duplicate" : "unknown") + " key " +
+             subject(obj[i].first.c_str()));
+    }
+}
+
+std::string
+JsonReader::path(const char *key) const
+{
+    std::string out = parent_ != nullptr ? parent_->path() : std::string();
+    if (key_ != nullptr)
+        out += (out.empty() ? "" : ".") + std::string(key_);
+    if (index_ != kNoIndex)
+        out += "[" + std::to_string(index_) + "]";
+    if (key != nullptr)
+        out += (out.empty() ? "" : ".") + std::string(key);
+    return out;
+}
+
+void
+JsonReader::fail(const std::string &problem) const
+{
+    fatal("%s: %s: %s", prefix_, context_.c_str(), problem.c_str());
+}
+
+std::string
+JsonReader::subject(const char *key) const
+{
+    const std::string where = path(key);
+    return where.empty() ? "top-level value" : "\"" + where + "\"";
+}
+
+void
+JsonReader::failKind(const char *key, const char *kind) const
+{
+    fail(subject(key) + " must be " + kind);
+}
+
 } // namespace meshslice

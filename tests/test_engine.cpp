@@ -9,7 +9,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -194,6 +197,248 @@ TEST(PlanJson, ShortlistRoundTripIsByteIdentical)
     EXPECT_EQ(shortlistToJson(parsed), json);
 }
 
+/** Seeded generator of plans that stress the canonical writer: every
+ *  optional section on and off, every enum value, escaped strings and
+ *  subnormal, huge and negative doubles. */
+class RandomPlans
+{
+  public:
+    explicit RandomPlans(std::uint64_t seed) : rng_(seed) {}
+
+    EnginePlan
+    plan(int trial)
+    {
+        EnginePlan p;
+        p.cluster.dp = integer();
+        p.cluster.pp = integer();
+        p.cluster.tpRows = integer();
+        p.cluster.tpCols = integer();
+        p.cluster.oneD = (trial & 8) != 0;
+        p.pickedBy = text();
+        p.tp = tp();
+        p.hasRobust = (trial & 1) != 0;
+        if (p.hasRobust) {
+            p.robustObjective = real();
+            p.robustPickIndex = integer();
+        }
+        p.hasRecovery = (trial & 2) != 0;
+        if (p.hasRecovery) {
+            p.checkpointInterval = real();
+            p.goodput = real();
+            p.effectiveStepTime = real();
+        }
+        p.hasPipeline = (trial & 4) != 0;
+        if (p.hasPipeline) {
+            p.axes.tpRows = integer();
+            p.axes.tpCols = integer();
+            p.axes.pp = integer();
+            p.axes.dp = integer();
+            p.axes.microBatches = integer();
+            p.axes.chunks = integer();
+            p.axes.schedule = pick<PipelineSchedule>(3, seenSchedules_);
+            p.axes.recompute = rng_() % 2 == 0;
+            p.pipelineEstTotal = real();
+            p.pipelineSimTotal = real();
+            p.stageMemoryBytes = integer64();
+            p.peakStash = integer();
+        }
+        return p;
+    }
+
+    AutotuneResult
+    tp()
+    {
+        AutotuneResult r;
+        r.rows = integer();
+        r.cols = integer();
+        r.blockFcTime = real();
+        for (std::uint64_t i = rng_() % 4; i > 0; --i) {
+            FcLayerPlan layer;
+            layer.fcLayer = integer();
+            layer.stationary = pick<Stationary>(3, seenStationary_);
+            for (std::uint64_t j = rng_() % 4; j > 0; --j) {
+                GemmPlan g;
+                g.gemm.name = text();
+                g.gemm.m = integer64();
+                g.gemm.k = integer64();
+                g.gemm.n = integer64();
+                g.gemm.pass = pick<Pass>(3, seenPasses_);
+                g.gemm.fcLayer = integer();
+                g.dataflow = pick<Dataflow>(3, seenDataflows_);
+                g.sliceCount = integer();
+                g.estTime = real();
+                layer.passes.push_back(std::move(g));
+            }
+            r.layers.push_back(std::move(layer));
+        }
+        return r;
+    }
+
+    /** True once every value of every plan enum has been drawn. */
+    bool
+    sawEveryEnumValue() const
+    {
+        return seenSchedules_ == 7 && seenStationary_ == 7 &&
+               seenPasses_ == 7 && seenDataflows_ == 7;
+    }
+
+  private:
+    template <class E>
+    E
+    pick(unsigned count, unsigned &seen)
+    {
+        const unsigned v = static_cast<unsigned>(rng_() % count);
+        seen |= 1u << v;
+        return static_cast<E>(v);
+    }
+
+    int
+    integer()
+    {
+        switch (rng_() % 4) {
+          case 0:
+            return std::numeric_limits<int>::min();
+          case 1:
+            return std::numeric_limits<int>::max();
+          default:
+            return static_cast<int>(rng_() % 2001) - 1000;
+        }
+    }
+
+    /** Int64 values within +-2^53: JSON numbers are doubles. */
+    std::int64_t
+    integer64()
+    {
+        const std::int64_t mag = static_cast<std::int64_t>(rng_() >> 11);
+        return rng_() % 2 == 0 ? mag : -mag;
+    }
+
+    double
+    real()
+    {
+        const double unit = std::ldexp(static_cast<double>(rng_() >> 11),
+                                       -53);
+        switch (rng_() % 6) {
+          case 0: // subnormal
+            return std::numeric_limits<double>::denorm_min() *
+                   static_cast<double>(rng_() % 4096 + 1);
+          case 1: // huge
+            return std::ldexp(1.0 + unit, 1000 + static_cast<int>(
+                                                     rng_() % 23));
+          case 2:
+            return -unit * 1e6;
+          case 3:
+            return rng_() % 2 == 0 ? -0.0
+                                   : std::numeric_limits<double>::max();
+          default:
+            return unit;
+        }
+    }
+
+    std::string
+    text()
+    {
+        static const char *const kTexts[] = {
+            "", "fc1", "quote\" back\\slash", "tab\tnew\nline",
+            "ctl\x01\x1f", "utf8 \xc3\xa9\xe2\x82\xac"};
+        return kTexts[rng_() % (sizeof(kTexts) / sizeof(kTexts[0]))];
+    }
+
+    std::mt19937_64 rng_;
+    unsigned seenSchedules_ = 0, seenStationary_ = 0, seenPasses_ = 0,
+             seenDataflows_ = 0;
+};
+
+TEST(PlanJson, SeededPlansRoundTripByteIdentically)
+{
+    RandomPlans gen(20261020);
+    for (int trial = 0; trial < 64; ++trial) {
+        const std::string json = enginePlanToJson(gen.plan(trial));
+        EXPECT_EQ(enginePlanToJson(enginePlanFromJson(json, "fuzz")), json)
+            << "trial " << trial;
+    }
+    EXPECT_TRUE(gen.sawEveryEnumValue());
+}
+
+TEST(PlanJson, SeededShortlistsRoundTripByteIdentically)
+{
+    RandomPlans gen(20261021);
+    for (int trial = 0; trial < 32; ++trial) {
+        std::vector<AutotuneResult> shortlist(static_cast<size_t>(trial % 4));
+        for (AutotuneResult &r : shortlist)
+            r = gen.tp();
+        const std::string json = shortlistToJson(shortlist);
+        EXPECT_EQ(shortlistToJson(shortlistFromJson(json, "fuzz")), json)
+            << "trial " << trial;
+    }
+}
+
+TEST(PlanJson, QueryParsesEverySchemaKey)
+{
+    const std::string json =
+        "{\"id\": \"every-key\","
+        " \"model\": {\"name\": \"wide\", \"layers\": 3,"
+        " \"hiddenDim\": 2048, \"heads\": 16, \"ffnDim\": 8192,"
+        " \"vocab\": 32000},"
+        " \"train\": {\"batch\": 12, \"seqLen\": 1024},"
+        " \"chips\": 32, \"algo\": \"SUMMA\", \"optimizeDataflow\": false,"
+        " \"robust\": {\"topK\": 5, \"numScenarios\": 6, \"seed\": 9,"
+        " \"linkDegradeFactor\": 0.25, \"faultsPerScenario\": 2,"
+        " \"stragglerProb\": 0.125, \"stragglerFactor\": 0.375,"
+        " \"maxLaunchJitter\": 1e-6, \"quantile\": 0.75,"
+        " \"maxGemmsPerEval\": 3},"
+        " \"recovery\": {\"chipMtbf\": 3600, \"checkpointBytesPerChip\":"
+        " 1073741824, \"detectionLatency\": 0.25, \"restartTime\": 30,"
+        " \"topK\": 2},"
+        " \"pipeline\": {\"schedule\": \"Interleaved1F1B\", \"chunks\": 2,"
+        " \"maxMicroBatches\": 16, \"topK\": 3, \"recompute\": true,"
+        " \"dpOverlap\": 0.125}}";
+    PlanQuery want;
+    want.model = {"wide", 3, 2048, 16, 8192, 32000};
+    want.train = {12, 1024};
+    want.chips = 32;
+    want.chip = tpuV4Config();
+    want.algo = Algorithm::kSumma;
+    want.optimizeDataflow = false;
+    want.runRobust = true;
+    want.robust.topK = 5;
+    want.robust.numScenarios = 6;
+    want.robust.seed = 9;
+    want.robust.linkDegradeFactor = 0.25;
+    want.robust.faultsPerScenario = 2;
+    want.robust.stragglerProb = 0.125;
+    want.robust.stragglerFactor = 0.375;
+    want.robust.maxLaunchJitter = 1e-6;
+    want.robust.quantile = 0.75;
+    want.robust.maxGemmsPerEval = 3;
+    want.runRecovery = true;
+    want.recovery.chipMtbf = 3600;
+    want.recovery.checkpointBytesPerChip = 1073741824;
+    want.recovery.detectionLatency = 0.25;
+    want.recovery.restartTime = 30;
+    want.recovery.topK = 2;
+    want.runPipeline = true;
+    want.pipeline.schedule = PipelineSchedule::kInterleaved1F1B;
+    want.pipeline.chunks = 2;
+    want.pipeline.maxMicroBatches = 16;
+    want.pipeline.topK = 3;
+    want.pipeline.recompute = true;
+    want.pipeline.dpOverlap = 0.125;
+    const PlanQuery parsed = planQueryFromJson(json, tpuV4Config(), "q");
+    EXPECT_EQ(planKeyOf(parsed).full(), planKeyOf(want).full());
+}
+
+TEST(PlanJson, QueryPresetTakesEveryDefault)
+{
+    PlanQuery want;
+    want.model = gpt3Config();
+    want.train = TrainingConfig::weakScaling(want.chips);
+    want.chip = tpuV4Config();
+    const PlanQuery parsed =
+        planQueryFromJson("{\"model\": \"gpt3\"}", tpuV4Config(), "q");
+    EXPECT_EQ(planKeyOf(parsed).full(), planKeyOf(want).full());
+}
+
 TEST(PlanJsonDeathTest, ErrorsArePositionalAndNamed)
 {
     EXPECT_DEATH(enginePlanFromJson("{\"cluster\":", "unit test"),
@@ -204,6 +449,33 @@ TEST(PlanJsonDeathTest, ErrorsArePositionalAndNamed)
     EXPECT_DEATH(
         planQueryFromJson("{\"mdoel\": \"gpt3\"}", tpuV4Config(), "q.json"),
         "mdoel");
+
+    // Integers outside their target type are rejected, not truncated.
+    EXPECT_DEATH(planQueryFromJson("{\"model\":\"gpt3\",\"chips\":4294967312}",
+                                   tpuV4Config(), "q.json"),
+                 "chips");
+    EXPECT_DEATH(planQueryFromJson("{\"model\":\"gpt3\","
+                                   "\"robust\":{\"topK\":4294967299}}",
+                                   tpuV4Config(), "q.json"),
+                 "robust.topK");
+    // A repeated key is an error, not "first one wins".
+    EXPECT_DEATH(planQueryFromJson("{\"model\":\"gpt3\",\"chips\":8,"
+                                   "\"chips\":16}",
+                                   tpuV4Config(), "q.json"),
+                 "duplicate key \"chips\"");
+    // Plans and shortlists reject keys their writers never emit.
+    std::string plan = enginePlanToJson(EnginePlan{});
+    plan.insert(plan.size() - 1, ",\"extra\":1");
+    EXPECT_DEATH(enginePlanFromJson(plan, "unit test"),
+                 "unknown key \"extra\"");
+    std::string nested = enginePlanToJson(EnginePlan{});
+    nested.insert(nested.find("\"oneD\""), "\"dp\":2,");
+    EXPECT_DEATH(enginePlanFromJson(nested, "unit test"),
+                 "duplicate key \"cluster.dp\"");
+    std::string list = shortlistToJson({AutotuneResult{}});
+    list.insert(list.size() - 2, ",\"colz\":2");
+    EXPECT_DEATH(shortlistFromJson(list, "unit test"),
+                 "unknown key \".*colz\"");
 }
 
 TEST(PlanCacheTest, LruEvictionAndCounters)
@@ -285,6 +557,16 @@ TEST(PlanCacheDeathTest, LoadRejectsMalformedPlanOrShortlist)
                  "shortlist");
     EXPECT_DEATH(cache.load(file(entry->planJson, "[]"), "bad.json"),
                  "bad.json entry 0: empty shortlist");
+
+    // Cache files reject keys the writer never emits.
+    EXPECT_DEATH(cache.load("{\"entries\": [], \"version\": 1}", "bad.json"),
+                 "unknown key \"version\"");
+    std::string extra = file(entry->planJson, shortlist);
+    extra.insert(extra.find("\"plan\""), "\"note\": \"x\", ");
+    EXPECT_DEATH(cache.load(extra, "bad.json"), "unknown key .*note");
+    std::string twice = file(entry->planJson, shortlist);
+    twice.insert(twice.find("\"plan\""), "\"key\": \"k2#f\", ");
+    EXPECT_DEATH(cache.load(twice, "bad.json"), "duplicate key .*key");
 }
 
 TEST(PlanEngineTest, PhaseSequenceIsDeclared)

@@ -351,6 +351,17 @@ TEST(FaultScenarioJsonDeathTest, MalformedInputsAreFatal)
                      "t"),
                  "factor");
     EXPECT_DEATH(FaultScenario::fromJson("{\"seed\":-3}", "t"), "seed");
+    // Integers outside their target type are rejected, never cast.
+    EXPECT_DEATH(FaultScenario::fromJson("{\"seed\":1.9e19}", "t"), "seed");
+    EXPECT_DEATH(FaultScenario::fromJson(
+                     "{\"stragglers\":[{\"chip\":4294967299}]}", "t"),
+                 "chip");
+    EXPECT_DEATH(FaultScenario::fromJson("{\"seed\":2,\"seed\":3}", "t"),
+                 "duplicate key \"seed\"");
+    EXPECT_DEATH(FaultScenario::fromJson(
+                     "{\"kills\":[{\"pattern\":\"chip1.\",\"at\":1}]}",
+                     "t"),
+                 "unknown key \"kills\\[0\\]\\.at\"");
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full CI sweep: builds the Release, ThreadSanitizer and
 # AddressSanitizer configurations (the address leg also enables
-# UndefinedBehaviorSanitizer with recovery off, so a UB report fails
-# its test), runs ctest on each, and validates
+# UndefinedBehaviorSanitizer and float-cast-overflow with recovery off,
+# so a UB report or an out-of-range double-to-integer cast fails its
+# test), runs ctest on each, and validates
 # every BENCH_*.json artifact via the `check-json` target of the
 # Release build — including the smoke run of the sim-throughput
 # microbenchmark, whose BENCH_kernels.json must carry a valid
